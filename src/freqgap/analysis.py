@@ -35,16 +35,7 @@ GROUPING_KEYS = ("x1", "x1x2", "x1y", "x1x2x3", "x1x2y")
 ARITH_KEYS = ("x1", "x1x2", "x1y")
 CONVERSION_KEYS = ("x1x2", "x1x2x3", "x1x2y")
 
-REPORT_COLUMNS = (
-    "task_id",
-    "k",
-    "acc",
-    "gap_x1",
-    "gap_x1x2",
-    "gap_x1y",
-    "gap_x1x2x3",
-    "gap_x1x2y",
-)
+REPORT_COLUMNS = ("task_id", "k", "acc") + tuple(f"gap_{key}" for key in GROUPING_KEYS)
 
 
 class AnalysisError(ValueError):
@@ -299,6 +290,15 @@ def _pct(value: Fraction | float | None) -> str:
     return f"{100 * float(value):.1f}"
 
 
+def _pct_row(task_id: str, k: int, acc: Fraction | float | None, gaps: Mapping) -> list:
+    """One REPORT_COLUMNS row, accuracy and gaps in percent."""
+    return [task_id, k, _pct(acc)] + [_pct(gaps.get(key)) for key in GROUPING_KEYS]
+
+
+def _trend_json(trend: tuple[float, float] | None) -> dict | None:
+    return None if trend is None else {"slope": trend[0], "intercept": trend[1]}
+
+
 def write_report(
     reports: Sequence[GapReport],
     out_dir: Path | str,
@@ -313,18 +313,7 @@ def write_report(
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(REPORT_COLUMNS)
         for r in reports:
-            writer.writerow(
-                [
-                    r.task_id,
-                    r.k,
-                    _pct(r.overall_acc),
-                    _pct(r.gaps.get("x1")),
-                    _pct(r.gaps.get("x1x2")),
-                    _pct(r.gaps.get("x1y")),
-                    _pct(r.gaps.get("x1x2x3")),
-                    _pct(r.gaps.get("x1x2y")),
-                ]
-            )
+            writer.writerow(_pct_row(r.task_id, r.k, r.overall_acc, r.gaps))
 
     rows = []
     for r in reports:
@@ -336,10 +325,7 @@ def write_report(
                 "n_records": r.n_records,
                 "acc": None if r.overall_acc is None else float(r.overall_acc),
                 "gaps": r.gaps,
-                "trends": {
-                    key: None if t is None else {"slope": t[0], "intercept": t[1]}
-                    for key, t in r.trends.items()
-                },
+                "trends": {key: _trend_json(t) for key, t in r.trends.items()},
                 "per_seed_gaps": {
                     key: None if g is None else [float(x) for x in g]
                     for key, g in r.per_seed_gaps.items()
@@ -371,15 +357,8 @@ def write_report(
                     writer.writerow(
                         [b.index, repr(b.mean_freq), repr(float(b.mean_acc)), b.n]
                     )
-            trend = r.trends.get(key)
             with atomic_open(plots / f"{stem}.trend.json") as f:
-                f.write(
-                    canonical_json(
-                        None
-                        if trend is None
-                        else {"slope": trend[0], "intercept": trend[1]}
-                    )
-                )
+                f.write(canonical_json(_trend_json(r.trends.get(key))))
 
     if incomplete:
         log.warning("report incomplete: some requested (task, k) cells had no records")
@@ -404,20 +383,8 @@ def compare_runs(run_dirs: Sequence[Path | str], out_dir: Path | str) -> None:
         writer.writerow(("run",) + REPORT_COLUMNS)
         for label, rows in runs:
             for row in rows:
-                gaps = row["gaps"]
-                writer.writerow(
-                    [
-                        label,
-                        row["task_id"],
-                        row["k"],
-                        _pct(row["acc"]),
-                        _pct(gaps.get("x1")),
-                        _pct(gaps.get("x1x2")),
-                        _pct(gaps.get("x1y")),
-                        _pct(gaps.get("x1x2x3")),
-                        _pct(gaps.get("x1x2y")),
-                    ]
-                )
+                pct = _pct_row(row["task_id"], row["k"], row["acc"], row["gaps"])
+                writer.writerow([label] + pct)
 
     cells: dict[tuple[str, int], dict[str, float | None]] = {}
     labels = [label for label, _rows in runs]

@@ -1,5 +1,8 @@
 """Command-line interface: freqgap <subcommand>.
 
+Each stage subcommand checks its arguments and then runs the same stage
+body as `freqgap run` (see freqgap.pipeline).
+
 Exit codes: 0 success, 1 usage or config error, 2 stage failure.
 """
 
@@ -11,25 +14,24 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .analysis import GROUPING_KEYS, build_report, compare_runs, write_report
-from .client import EndpointConfig, MockPolicy, evaluate, load_records, save_records
+from .analysis import GROUPING_KEYS, compare_runs
+from .client import EndpointConfig, MockPolicy, load_records
 from .corpus import count_corpus, merge_table_files
-from .counting import CounterConfig, CountTable
+from .counting import CounterConfig, table_file
 from .demo import generate_demo_corpus
-from .pipeline import ConfigError, run_pipeline, validate_config
-from .tasks import (
-    ALL_TASKS,
-    build_fewshot_prompts,
-    build_task,
-    derive_query_sets,
-    load_bundles,
-    load_dataset,
-    load_targets,
-    save_bundles,
-    save_dataset,
-    save_targets,
+from .pipeline import (
+    ConfigError,
+    run_analyze,
+    run_eval,
+    run_gen,
+    run_pipeline,
+    run_prompts,
+    run_targets,
+    scorer_digest,
+    validate_config,
 )
-from .util import derive_seed
+from .tasks import ALL_TASKS, load_targets
+from .util import sha256_file
 
 log = logging.getLogger(__name__)
 
@@ -139,47 +141,32 @@ def _cmd_merge(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    table = CountTable.load(args.counts)
-    instances = build_task(table, args.task)
-    save_dataset(instances, args.out / f"{args.task}.jsonl")
-    log.info("%s: %d instances", args.task, len(instances))
+    run_gen(args.counts, [args.task], args.out)
     return 0
 
 
 def _cmd_targets(args) -> int:
-    datasets = [load_dataset(p) for p in sorted(args.datasets.glob("*.jsonl"))]
-    if not datasets:
+    paths = sorted(args.datasets.glob("*.jsonl"))
+    if not paths:
         raise UsageError(f"no dataset files under {args.datasets}")
-    save_targets(derive_query_sets(datasets), args.out)
+    run_targets(paths, args.out)
     return 0
 
 
 def _cmd_prompts(args) -> int:
-    dataset = load_dataset(args.dataset)
-    task_id = dataset[0].task_id if dataset else args.dataset.stem
-    for s in range(args.seeds):
-        bundles = build_fewshot_prompts(
-            dataset, args.k, seed=s,
-            shot_seed=derive_seed(args.base_seed, task_id, args.k, s),
-        )
-        save_bundles(bundles, args.out / f"{task_id}_k{args.k}_seed{s}.jsonl")
+    run_prompts([args.dataset], [args.k], args.seeds, args.base_seed, args.out)
     return 0
 
 
 def _cmd_eval(args) -> int:
     if (args.endpoint is None) == (args.mock is None):
         raise UsageError("give exactly one of --endpoint or --mock")
-    bundles = []
     paths = sorted(args.bundles.glob("*.jsonl")) if args.bundles.is_dir() else [args.bundles]
-    for path in paths:
-        bundles.extend(load_bundles(path))
-    mock = counts = endpoint = None
+    mock = endpoint = None
     if args.mock is not None:
         mock = MockPolicy.parse(args.mock)
-        if mock.kind == "freq_logistic":
-            if args.counts is None:
-                raise UsageError("freq_logistic mock needs --counts")
-            counts = CountTable.load(args.counts)
+        if mock.kind == "freq_logistic" and args.counts is None:
+            raise UsageError("freq_logistic mock needs --counts")
     else:
         if not args.model:
             raise UsageError("--endpoint needs --model")
@@ -191,16 +178,15 @@ def _cmd_eval(args) -> int:
             max_attempts=args.max_attempts,
             timeout=args.timeout,
         )
-    records = evaluate(
-        bundles,
-        endpoint=endpoint,
-        mock=mock,
-        counts=counts,
-        journal=args.out / "journal.jsonl",
-        resume=not args.no_resume,
+    inputs = {path.name: sha256_file(path) for path in paths}
+    if args.counts is not None:
+        inputs["counts"] = sha256_file(table_file(args.counts))
+    inputs["scorer"] = scorer_digest(mock, endpoint)
+    records_path = args.out / "records.jsonl"
+    records = run_eval(
+        paths, records_path, inputs, mock, endpoint, args.counts, resume=not args.no_resume
     )
-    save_records(records, args.out / "records.jsonl")
-    log.info("%d records -> %s", len(records), args.out / "records.jsonl")
+    log.info("%d records -> %s", len(records), records_path)
     return 0
 
 
@@ -208,27 +194,16 @@ def _cmd_analyze(args) -> int:
     records = load_records(args.records)
     if not records:
         raise UsageError(f"no records under {args.records}")
-    instances = {}
-    tasks_seen = []
-    for path in sorted(args.datasets.glob("*.jsonl")):
-        for inst in load_dataset(path):
-            instances[inst.instance_id] = inst
-            if inst.task_id not in tasks_seen:
-                tasks_seen.append(inst.task_id)
-    counts = CountTable.load(args.counts)
     keys = args.keys.split(",") if args.keys else None
     if keys is not None:
         bad = [key for key in keys if key not in GROUPING_KEYS]
         if bad:
             raise UsageError(f"unknown grouping keys: {bad}")
-    ks = (
-        [int(k) for k in args.ks.split(",")]
-        if args.ks
-        else sorted({r.k for r in records})
+    ks = [int(k) for k in args.ks.split(",")] if args.ks else None
+    run_analyze(
+        records, sorted(args.datasets.glob("*.jsonl")), args.counts, args.out,
+        args.label, ks=ks, keys=keys, bins=args.bins,
     )
-    tasks = [t for t in ALL_TASKS if t in tasks_seen]
-    reports = build_report(records, instances, counts, tasks, ks, keys, args.bins)
-    write_report(reports, args.out, label=args.label)
     return 0
 
 

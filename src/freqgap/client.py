@@ -18,7 +18,7 @@ import re
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -315,10 +315,8 @@ def evaluate(
     done: dict[tuple, EvalRecord] = {}
     journal_path = Path(journal) if journal is not None else None
     if journal_path is not None and resume and journal_path.exists():
-        with open(journal_path, encoding="utf-8") as f:
-            for line in f:
-                rec = EvalRecord.from_dict(json.loads(line))
-                done[_record_key(rec.instance_id, rec.k, rec.seed)] = rec
+        for rec in _read_journal(journal_path):
+            done[_record_key(rec.instance_id, rec.k, rec.seed)] = rec
     pending = [
         b
         for b in bundles
@@ -369,25 +367,30 @@ def evaluate(
     return sorted(done.values(), key=_record_sort_key)
 
 
+def _read_journal(path: Path) -> list[EvalRecord]:
+    """Journaled records.  A last line without its newline is a write cut
+    short by a kill: it is truncated away, so its bundle is scored again
+    and later appends start on a fresh line.  A bad complete line raises."""
+    records = []
+    good = 0
+    with open(path, "rb") as f:
+        for line in f:
+            if not line.endswith(b"\n"):
+                log.warning("%s: dropping a partial last line", path)
+                os.truncate(path, good)
+                break
+            records.append(EvalRecord.from_dict(json.loads(line)))
+            good += len(line)
+    return records
+
+
 def rescore(records: Iterable[EvalRecord], gold_by_instance: dict[str, int]) -> list[EvalRecord]:
     """Recompute extraction and correctness from persisted raw outputs."""
     out = []
     for rec in records:
         extracted = extract_answer(rec.raw_output) if rec.error is None else None
-        out.append(
-            EvalRecord(
-                instance_id=rec.instance_id,
-                task_id=rec.task_id,
-                k=rec.k,
-                seed=rec.seed,
-                prompt_digest=rec.prompt_digest,
-                raw_output=rec.raw_output,
-                extracted=extracted,
-                correct=score(extracted, gold_by_instance[rec.instance_id]),
-                latency=rec.latency,
-                error=rec.error,
-            )
-        )
+        correct = score(extracted, gold_by_instance[rec.instance_id])
+        out.append(replace(rec, extracted=extracted, correct=correct))
     return out
 
 

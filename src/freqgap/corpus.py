@@ -7,9 +7,10 @@ both.  Documents that fail UTF-8 decoding or JSON parsing are skipped
 and counted.
 
 Shards are counted by independent worker processes; each worker spills
-its partial table to disk as a sorted file and the parent performs a
-k-way streaming merge, so output bytes are identical regardless of the
-shard partitioning.
+its partial tables to disk as sorted files named by (partition, spill
+sequence) and the parent merges them with merge_sorted_count_files, so
+output bytes are identical regardless of the shard partitioning.
+Table files, spills included, are written by counting.write_table.
 """
 
 from __future__ import annotations
@@ -26,14 +27,14 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .counting import (
-    ConfigDigestMismatch,
     CounterConfig,
     CountMeta,
-    _meta_path,
     _ShardAccumulator,
+    combine_metas,
     merge_sorted_count_files,
+    read_meta,
+    table_file,
 )
-from .util import atomic_open, canonical_json
 
 log = logging.getLogger(__name__)
 
@@ -166,7 +167,7 @@ def _count_units(
     config: CounterConfig,
     spill_dir: str,
     spill_threshold: int,
-    worker_id: int,
+    partition: int,
 ) -> tuple[list[str], int, int, int]:
     # The counting loop allocates no reference cycles, so generational
     # GC only costs time here.
@@ -176,14 +177,18 @@ def _count_units(
         acc = _ShardAccumulator(config)
         stats = ReadStats()
         spills: list[str] = []
+
+        def spill() -> None:
+            path = Path(spill_dir) / f"spill-{partition:05d}-{len(spills):05d}.tsv"
+            acc.spill(path)
+            spills.append(str(path))
+
         for unit in units:
             for text in iter_unit_documents(unit, stats):
                 acc.add_document(text)
                 if acc.size >= spill_threshold:
-                    path = acc.spill(Path(spill_dir), len(spills) * 1000 + worker_id)
-                    spills.append(str(path))
-        path = acc.spill(Path(spill_dir), len(spills) * 1000 + worker_id)
-        spills.append(str(path))
+                    spill()
+        spill()
         return spills, acc.documents, acc.tokens, stats.skipped
     finally:
         if gc_was_enabled:
@@ -203,7 +208,7 @@ def count_corpus(
     out = Path(out)
     units = corpus_units(path, fmt, shards)
     partitions = [p for p in partition_units(units, max(shards, 1)) if p]
-    meta = CountMeta(corpus=Path(path).name, config_digest=config.digest())
+    digest = config.digest()
     with tempfile.TemporaryDirectory(prefix="freqgap-spill-") as spill_dir:
         results = []
         if len(partitions) <= 1:
@@ -218,14 +223,12 @@ def count_corpus(
                 ]
                 results = pool.starmap(_count_units, jobs)
         spills: list[Path] = []
+        metas = [CountMeta(corpus=Path(path).name, config_digest=digest)]
         for paths, documents, tokens, skipped in results:
             spills.extend(Path(p) for p in paths)
-            meta.documents += documents
-            meta.tokens += tokens
-            meta.skipped_documents += skipped
-        merge_sorted_count_files(spills, out)
-    with atomic_open(_meta_path(out)) as f:
-        f.write(canonical_json(meta.to_dict()))
+            metas.append(CountMeta("", digest, documents, tokens, skipped))
+        meta = combine_metas(metas)
+        merge_sorted_count_files(spills, out, meta)
     log.info(
         "counted %s: %d documents, %d tokens, %d skipped -> %s",
         path, meta.documents, meta.tokens, meta.skipped_documents, out,
@@ -242,31 +245,9 @@ def iter_corpus_documents(path: Path | str, fmt: str, stats: ReadStats | None = 
 
 def merge_table_files(inputs: Iterable[Path | str], out: Path | str) -> CountMeta:
     """Merge serialized count tables, enforcing config-digest equality."""
-    paths = []
-    for p in inputs:
-        p = Path(p)
-        paths.append(p / "counts.tsv" if p.is_dir() else p)
+    paths = [table_file(p) for p in inputs]
     if not paths:
         raise ValueError("no input tables")
-    metas = [CountMeta.from_dict(json.loads(_meta_path(p).read_text())) for p in paths]
-    digests = {m.config_digest for m in metas}
-    if len(digests) > 1:
-        raise ConfigDigestMismatch(
-            "input tables were counted under different configurations"
-        )
-    out = Path(out)
-    merge_sorted_count_files(paths, out)
-    corpora = []
-    for m in metas:
-        if m.corpus and m.corpus not in corpora:
-            corpora.append(m.corpus)
-    merged = CountMeta(
-        corpus="+".join(corpora),
-        config_digest=metas[0].config_digest,
-        documents=sum(m.documents for m in metas),
-        tokens=sum(m.tokens for m in metas),
-        skipped_documents=sum(m.skipped_documents for m in metas),
-    )
-    with atomic_open(_meta_path(out)) as f:
-        f.write(canonical_json(merged.to_dict()))
-    return merged
+    meta = combine_metas([read_meta(p) for p in paths])
+    merge_sorted_count_files(paths, Path(out), meta)
+    return meta

@@ -10,6 +10,10 @@ Two counting passes are supported: the default pass emits unigrams plus
 (number, number) pairs with both values below 10,000 and all
 (number, unit) pairs; a targeted pass emits unigrams plus exactly the
 requested term sets (pairs and triples).
+
+A table file is a `key<TAB>count` TSV sorted by key string plus a
+`.meta.json` sidecar.  write_table is its one writer, combine_metas the
+one combination of provenance, merge_sorted_count_files the one merge.
 """
 
 from __future__ import annotations
@@ -18,10 +22,10 @@ import heapq
 import json
 import logging
 from collections import defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .terms import UNIT_BASE, UNITS, key_str, parse_key, term_set, unit_term
 from .util import atomic_open, canonical_json, sha256_text
@@ -134,8 +138,8 @@ class _SurfaceCache(dict):
     term positions bytes.find locates at C speed; the shifted codes
     (code + 1) of term surfaces live in the side table `codes`.
     Classification happens once per surface form via extract_term; the
-    caches are dropped wholesale if an adversarial vocabulary grows
-    them past the cap.
+    caches are dropped wholesale, between documents, if an adversarial
+    vocabulary grows them past the cap.
     """
 
     _CAP = 1_000_000
@@ -147,9 +151,6 @@ class _SurfaceCache(dict):
 
     def __missing__(self, token: str) -> bytes:
         code = extract_term(token, self._config)
-        if len(self) >= self._CAP:
-            self.clear()
-            self.codes.clear()
         if code is None:
             flag = b"\x00"
         else:
@@ -170,18 +171,18 @@ class TermScanner:
     def __init__(self, config: CounterConfig) -> None:
         self._cache = _SurfaceCache(config)
 
-    def scan(self, text: str) -> tuple[list[tuple[int, int]], int]:
-        """Return ([(position, code), ...], total token count) for one document."""
-        shifted, total = self.scan_shifted(text)
-        return [(i, c - 1) for i, c in shifted], total
-
     def scan_shifted(self, text: str) -> tuple[list[tuple[int, int]], int]:
-        """Hot-path variant: codes stay shifted by +1."""
+        """Return ([(position, code + 1), ...], total token count) for one
+        document; codes stay shifted by +1 for the counting hot path."""
+        cache = self._cache
+        if len(cache) >= cache._CAP:
+            cache.clear()
+            cache.codes.clear()
         tokens = text.split()
-        flags = b"".join(map(self._cache.__getitem__, tokens))
+        flags = b"".join(map(cache.__getitem__, tokens))
         terms = []
         append = terms.append
-        codes = self._cache.codes
+        codes = cache.codes
         find = flags.find
         pos = find(_TERM_FLAG)
         while pos >= 0:
@@ -197,19 +198,6 @@ class CountMeta:
     documents: int = 0
     tokens: int = 0
     skipped_documents: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "corpus": self.corpus,
-            "config_digest": self.config_digest,
-            "documents": self.documents,
-            "tokens": self.tokens,
-            "skipped_documents": self.skipped_documents,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CountMeta":
-        return cls(**data)
 
 
 @dataclass
@@ -228,57 +216,67 @@ class CountTable:
         return self.entries.get(term_set(key), 0)
 
     def save(self, path: Path | str) -> None:
-        path = Path(path)
-        lines = sorted((key_str(k), v) for k, v in self.entries.items())
-        with atomic_open(path) as f:
-            for key, count in lines:
-                f.write(f"{key}\t{count}\n")
-        with atomic_open(_meta_path(path)) as f:
-            f.write(canonical_json(self.meta.to_dict()))
+        write_table(path, _sorted_lines(self.entries), self.meta)
 
     @classmethod
     def load(cls, path: Path | str) -> "CountTable":
-        path = Path(path)
-        if path.is_dir():
-            path = path / "counts.tsv"
-        entries: dict[tuple[int, ...], int] = {}
-        with open(path, encoding="utf-8") as f:
-            for line in f:
-                key, _, count = line.rstrip("\n").partition("\t")
-                entries[parse_key(key)] = int(count)
-        meta = CountMeta.from_dict(json.loads(_meta_path(path).read_text()))
-        return cls(entries, meta)
+        path = table_file(path)
+        entries = {parse_key(key): count for key, count in _iter_count_lines(path)}
+        return cls(entries, read_meta(path))
+
+
+def table_file(path: Path | str) -> Path:
+    """The table file itself, given it or the directory holding counts.tsv."""
+    path = Path(path)
+    return path / "counts.tsv" if path.is_dir() else path
 
 
 def _meta_path(table_path: Path) -> Path:
     return table_path.with_suffix(".meta.json")
 
 
+def read_meta(table_path: Path | str) -> CountMeta:
+    return CountMeta(**json.loads(_meta_path(Path(table_path)).read_text()))
+
+
+def _sorted_lines(entries: dict[tuple[int, ...], int]) -> list[tuple[str, int]]:
+    return sorted((key_str(k), v) for k, v in entries.items())
+
+
+def write_table(
+    path: Path | str, lines: Iterable[tuple[str, int]], meta: CountMeta | None = None
+) -> None:
+    """Write (key, count) lines, already sorted by key string, as a table
+    file; with meta, also write its sidecar."""
+    path = Path(path)
+    with atomic_open(path) as f:
+        f.writelines(f"{key}\t{count}\n" for key, count in lines)
+    if meta is not None:
+        with atomic_open(_meta_path(path)) as f:
+            f.write(canonical_json(asdict(meta)))
+
+
+def combine_metas(metas: Sequence[CountMeta]) -> CountMeta:
+    """Provenance of the sum of tables counted under one configuration:
+    distinct corpus names joined by '+', document and token totals summed."""
+    if len({m.config_digest for m in metas}) > 1:
+        raise ConfigDigestMismatch("cannot combine tables counted under different configurations")
+    return CountMeta(
+        corpus="+".join(dict.fromkeys(m.corpus for m in metas if m.corpus)),
+        config_digest=metas[0].config_digest,
+        documents=sum(m.documents for m in metas),
+        tokens=sum(m.tokens for m in metas),
+        skipped_documents=sum(m.skipped_documents for m in metas),
+    )
+
+
 def merge(a: CountTable, b: CountTable) -> CountTable:
     """Pointwise sum of two tables counted under the same configuration."""
-    if a.meta.config_digest != b.meta.config_digest:
-        raise ConfigDigestMismatch(
-            f"cannot merge tables with different config digests: "
-            f"{a.meta.config_digest[:12]} != {b.meta.config_digest[:12]}"
-        )
+    meta = combine_metas([a.meta, b.meta])
     entries = dict(a.entries)
     for key, count in b.entries.items():
         entries[key] = entries.get(key, 0) + count
-    corpus = a.meta.corpus if a.meta.corpus == b.meta.corpus else (
-        "+".join(p for p in (a.meta.corpus, b.meta.corpus) if p)
-    )
-    meta = CountMeta(
-        corpus=corpus,
-        config_digest=a.meta.config_digest,
-        documents=a.meta.documents + b.meta.documents,
-        tokens=a.meta.tokens + b.meta.tokens,
-        skipped_documents=a.meta.skipped_documents + b.meta.skipped_documents,
-    )
     return CountTable(entries, meta)
-
-
-def query(table: CountTable, key: Iterable[int]) -> int:
-    return table.query(key)
 
 
 def top_numbers(
@@ -388,17 +386,13 @@ class _ShardAccumulator:
         out.update(self.triples)
         return out
 
-    def spill(self, directory: Path, index: int) -> Path:
+    def spill(self, path: Path) -> None:
         """Write the accumulated counts as a sorted partial table and reset."""
-        path = Path(directory) / f"spill-{index:05d}.tsv"
-        lines = sorted((key_str(k), v) for k, v in self.entries().items())
-        with atomic_open(path) as f:
-            for key, count in lines:
-                f.write(f"{key}\t{count}\n")
+        lines = _sorted_lines(self.entries())
+        write_table(path, lines)
         self.uni.clear()
         self.pairs.clear()
         self.triples.clear()
-        return path
 
 
 def count_shard(
@@ -424,18 +418,21 @@ def _iter_count_lines(path: Path) -> Iterator[tuple[str, int]]:
             yield key, int(count)
 
 
-def merge_sorted_count_files(inputs: list[Path], out: Path) -> None:
-    """K-way streaming merge of sorted key/count files, summing equal keys."""
-    streams = [_iter_count_lines(p) for p in inputs]
-    with atomic_open(out) as f:
-        current: str | None = None
-        total = 0
-        for key, count in heapq.merge(*streams):
-            if key == current:
-                total += count
-            else:
-                if current is not None:
-                    f.write(f"{current}\t{total}\n")
-                current, total = key, count
-        if current is not None:
-            f.write(f"{current}\t{total}\n")
+def _sum_sorted(streams: list[Iterator[tuple[str, int]]]) -> Iterator[tuple[str, int]]:
+    current: str | None = None
+    total = 0
+    for key, count in heapq.merge(*streams):
+        if key == current:
+            total += count
+        else:
+            if current is not None:
+                yield current, total
+            current, total = key, count
+    if current is not None:
+        yield current, total
+
+
+def merge_sorted_count_files(inputs: list[Path], out: Path, meta: CountMeta) -> None:
+    """K-way streaming merge of sorted key/count files, summing equal keys,
+    into the table `out` with meta as its sidecar."""
+    write_table(out, _sum_sorted([_iter_count_lines(p) for p in inputs]), meta)

@@ -1,5 +1,6 @@
 """End-to-end run orchestration: count, generate, target, recount, prompt,
 evaluate, analyze, with a manifest that makes completed stages resumable.
+The stage bodies (run_gen ... run_analyze) are shared with the CLI.
 
 Every stage writes its artifacts atomically and records their content
 digests plus the digests of its inputs; a stage is skipped on re-run
@@ -13,13 +14,13 @@ from __future__ import annotations
 import json
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterable, Sequence
 
 from . import __version__
 from .analysis import build_report, write_report
-from .client import EndpointConfig, MockPolicy, evaluate, load_records, save_records
+from .client import EndpointConfig, EvalRecord, MockPolicy, evaluate, load_records, save_records
 from .corpus import CORPUS_FORMATS, corpus_units, count_corpus
 from .counting import CounterConfig, CountTable
 from .tasks import (
@@ -92,23 +93,31 @@ class RunConfig:
             "shards": self.shards,
         }
         if self.mock is not None:
-            data["mock"] = {
-                "kind": self.mock.kind,
-                "a": self.mock.a,
-                "b": self.mock.b,
-                "seed": self.mock.seed,
-            }
+            data["mock"] = _mock_fields(self.mock)
         if self.endpoint is not None:
-            ep = self.endpoint
-            data["endpoint"] = {
-                "base_url": ep.base_url,
-                "model_name": ep.model_name,
-                "max_new_tokens": ep.max_new_tokens,
-                "max_in_flight": ep.max_in_flight,
-                "max_attempts": ep.max_attempts,
-                "timeout": ep.timeout,
-            }
+            data["endpoint"] = _endpoint_fields(self.endpoint)
         return data
+
+
+def _mock_fields(mock: MockPolicy) -> dict:
+    return {"kind": mock.kind, "a": mock.a, "b": mock.b, "seed": mock.seed}
+
+
+def _endpoint_fields(ep: EndpointConfig) -> dict:
+    return {
+        "base_url": ep.base_url,
+        "model_name": ep.model_name,
+        "max_new_tokens": ep.max_new_tokens,
+        "max_in_flight": ep.max_in_flight,
+        "max_attempts": ep.max_attempts,
+        "timeout": ep.timeout,
+    }
+
+
+def scorer_digest(mock: MockPolicy | None, endpoint: EndpointConfig | None) -> str:
+    """Fingerprint of the scorer's settings, for the eval journal rule."""
+    fields = _mock_fields(mock) if mock is not None else _endpoint_fields(endpoint)
+    return sha256_text(canonical_json(fields))
 
 
 def _check_fields(
@@ -281,23 +290,6 @@ class RunManifest:
     created_at: float = field(default_factory=time.time)
     stages: dict[str, dict] = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "config_digest": self.config_digest,
-            "tool_version": self.tool_version,
-            "created_at": self.created_at,
-            "stages": self.stages,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunManifest":
-        return cls(
-            config_digest=data["config_digest"],
-            tool_version=data.get("tool_version", ""),
-            created_at=data.get("created_at", 0.0),
-            stages=data.get("stages", {}),
-        )
-
 
 def _corpus_signature(config: RunConfig) -> str:
     units = corpus_units(config.corpus_path, config.corpus_format)
@@ -306,14 +298,9 @@ def _corpus_signature(config: RunConfig) -> str:
 
 
 class _Runner:
-    def __init__(self, config: RunConfig, manifest: RunManifest):
-        self.config = config
-        self.out = config.out
+    def __init__(self, out: Path, manifest: RunManifest):
+        self.out = out
         self.manifest = manifest
-
-    def _save_manifest(self) -> None:
-        with atomic_open(self.out / "manifest.json") as f:
-            f.write(canonical_json(self.manifest.to_dict()))
 
     def stage(
         self,
@@ -346,10 +333,116 @@ class _Runner:
             "started_at": started,
             "completed_at": time.time(),
         }
-        self._save_manifest()
+        with atomic_open(self.out / "manifest.json") as f:
+            f.write(canonical_json(asdict(self.manifest)))
 
     def artifact_digests(self, name: str) -> dict[str, str]:
         return dict(self.manifest.stages[name]["artifacts"])
+
+
+# ---------------------------------------------------------------------------
+# Stage bodies, shared by run_pipeline and the stage-by-stage CLI
+
+
+def _dataset_file(directory: Path, task_id: str) -> Path:
+    return directory / f"{task_id}.jsonl"
+
+
+def _prompt_file(directory: Path, task_id: str, k: int, seed: int) -> Path:
+    return directory / f"{task_id}_k{k}_seed{seed}.jsonl"
+
+
+def run_gen(counts: Path, tasks: Iterable[str], out_dir: Path) -> None:
+    """Build each task's dataset from a count table into out_dir."""
+    table = CountTable.load(counts)
+    for task_id in tasks:
+        instances = build_task(table, task_id)
+        save_dataset(instances, _dataset_file(out_dir, task_id))
+        log.info("%s: %d instances", task_id, len(instances))
+
+
+def run_targets(dataset_paths: Iterable[Path], out: Path) -> None:
+    """Write the term sets the targeted count pass needs for these datasets."""
+    save_targets(derive_query_sets(load_dataset(p) for p in dataset_paths), out)
+
+
+def run_prompts(
+    dataset_paths: Iterable[Path], ks: Sequence[int], seeds: int, base_seed: int, out_dir: Path
+) -> None:
+    """Write the k-shot bundles of every dataset, k and prompt seed s < seeds;
+    draws are seeded per (task, k, s), decorrelating tasks and shot counts."""
+    for path in dataset_paths:
+        dataset = load_dataset(path)
+        task_id = dataset[0].task_id if dataset else path.stem
+        for k in ks:
+            for s in range(seeds):
+                bundles = build_fewshot_prompts(
+                    dataset, k, seed=s, shot_seed=derive_seed(base_seed, task_id, k, s)
+                )
+                save_bundles(bundles, _prompt_file(out_dir, task_id, k, s))
+
+
+def run_eval(
+    bundle_paths: Iterable[Path],
+    records_path: Path,
+    inputs: dict[str, str],
+    mock: MockPolicy | None = None,
+    endpoint: EndpointConfig | None = None,
+    counts: Path | None = None,
+    resume: bool = True,
+) -> list[EvalRecord]:
+    """Score the bundles into records_path, journaling beside it.
+
+    `inputs` fingerprints what the records depend on (prompt files, count
+    table, scorer); a journal written under other inputs is discarded.
+    """
+    journal = records_path.with_name("journal.jsonl")
+    journal_inputs = records_path.with_name("journal.inputs.json")
+    current = canonical_json(inputs)
+    if journal.exists() and (
+        not journal_inputs.exists() or journal_inputs.read_text() != current
+    ):
+        journal.unlink()
+    with atomic_open(journal_inputs) as f:
+        f.write(current)
+    bundles = []
+    for path in bundle_paths:
+        bundles.extend(load_bundles(path))
+    table = CountTable.load(counts) if mock is not None and counts is not None else None
+    records = evaluate(
+        bundles, endpoint=endpoint, mock=mock, counts=table, journal=journal, resume=resume
+    )
+    save_records(records, records_path)
+    return records
+
+
+def run_analyze(
+    records: Sequence[EvalRecord],
+    dataset_paths: Iterable[Path],
+    counts: Path,
+    out_dir: Path,
+    label: str,
+    tasks: Sequence[str] | None = None,
+    ks: Sequence[int] | None = None,
+    keys: Sequence[str] | None = None,
+    bins: int = 10,
+) -> None:
+    """Write the gap report of records joined with their dataset instances.
+
+    tasks default to those present in the datasets (in ALL_TASKS order),
+    ks to those present in the records.
+    """
+    instances = {}
+    for path in dataset_paths:
+        for inst in load_dataset(path):
+            instances[inst.instance_id] = inst
+    if tasks is None:
+        present = {inst.task_id for inst in instances.values()}
+        tasks = [t for t in ALL_TASKS if t in present]
+    if ks is None:
+        ks = sorted({r.k for r in records})
+    reports = build_report(records, instances, CountTable.load(counts), tasks, ks, keys, bins)
+    write_report(reports, out_dir, label=label)
 
 
 def run_pipeline(config: RunConfig, force: bool = False) -> RunManifest:
@@ -365,7 +458,7 @@ def run_pipeline(config: RunConfig, force: bool = False) -> RunManifest:
     manifest_path = out / "manifest.json"
     manifest = RunManifest(config_digest=config_digest)
     if manifest_path.exists() and not force:
-        previous = RunManifest.from_dict(json.loads(manifest_path.read_text()))
+        previous = RunManifest(**json.loads(manifest_path.read_text()))
         if previous.config_digest != config_digest:
             raise PipelineError(
                 f"{out} holds a run with a different config digest "
@@ -374,7 +467,7 @@ def run_pipeline(config: RunConfig, force: bool = False) -> RunManifest:
             )
         manifest = previous
 
-    runner = _Runner(config, manifest)
+    runner = _Runner(out, manifest)
     counter = config.counter_config()
     corpus_sig = _corpus_signature(config)
     base_inputs = {"corpus": corpus_sig, "config": config_digest}
@@ -389,18 +482,13 @@ def run_pipeline(config: RunConfig, force: bool = False) -> RunManifest:
         ),
     )
 
-    dataset_paths = {t: out / "datasets" / f"{t}.jsonl" for t in config.tasks}
-
-    def run_gen() -> None:
-        table = CountTable.load(pass1)
-        for task_id, path in dataset_paths.items():
-            save_dataset(build_task(table, task_id), path)
-
+    datasets_dir = out / "datasets"
+    dataset_paths = [_dataset_file(datasets_dir, t) for t in config.tasks]
     runner.stage(
         "gen",
         {**base_inputs, **runner.artifact_digests("count_pass1")},
-        list(dataset_paths.values()),
-        run_gen,
+        dataset_paths,
+        lambda: run_gen(pass1, config.tasks, datasets_dir),
     )
 
     targets_path = out / "targets.txt"
@@ -408,10 +496,7 @@ def run_pipeline(config: RunConfig, force: bool = False) -> RunManifest:
         "targets",
         runner.artifact_digests("gen"),
         [targets_path],
-        lambda: save_targets(
-            derive_query_sets(load_dataset(p) for p in dataset_paths.values()),
-            targets_path,
-        ),
+        lambda: run_targets(dataset_paths, targets_path),
     )
 
     pass2 = out / "counts" / "pass2" / "counts.tsv"
@@ -428,84 +513,50 @@ def run_pipeline(config: RunConfig, force: bool = False) -> RunManifest:
         ),
     )
 
-    prompt_paths = {
-        (t, k, s): out / "prompts" / f"{t}_k{k}_seed{s}.jsonl"
+    prompts_dir = out / "prompts"
+    prompt_paths = [
+        _prompt_file(prompts_dir, t, k, s)
         for t in config.tasks
         for k in config.ks
         for s in range(config.seeds)
-    }
-
-    def run_prompts() -> None:
-        for task_id, dataset_path in dataset_paths.items():
-            dataset = load_dataset(dataset_path)
-            for k in config.ks:
-                for s in range(config.seeds):
-                    bundles = build_fewshot_prompts(
-                        dataset, k, seed=s, shot_seed=derive_seed(config.seed, task_id, k, s)
-                    )
-                    save_bundles(bundles, prompt_paths[(task_id, k, s)])
-
+    ]
     runner.stage(
         "prompts",
         {**runner.artifact_digests("gen"), "seed": str(config.seed)},
-        list(prompt_paths.values()),
-        run_prompts,
+        prompt_paths,
+        lambda: run_prompts(dataset_paths, config.ks, config.seeds, config.seed, prompts_dir),
     )
 
     records_path = out / "records" / "records.jsonl"
     eval_inputs = {
         **runner.artifact_digests("prompts"),
         **runner.artifact_digests("count_pass2"),
-        "scorer": sha256_text(canonical_json(config.to_dict().get("mock") or config.to_dict().get("endpoint"))),
+        "scorer": scorer_digest(config.mock, config.endpoint),
     }
-
-    def run_eval() -> None:
-        # The journal only resumes an eval of the same inputs; anything
-        # else (different scorer, regenerated prompts) is stale.
-        journal = out / "records" / "journal.jsonl"
-        journal_inputs = out / "records" / "journal.inputs.json"
-        current = canonical_json(eval_inputs)
-        if journal.exists() and (
-            not journal_inputs.exists() or journal_inputs.read_text() != current
-        ):
-            journal.unlink()
-        with atomic_open(journal_inputs) as f:
-            f.write(current)
-        bundles = []
-        for path in prompt_paths.values():
-            bundles.extend(load_bundles(path))
-        counts = CountTable.load(pass2) if config.mock is not None else None
-        records = evaluate(
-            bundles,
-            endpoint=config.endpoint,
-            mock=config.mock,
-            counts=counts,
-            journal=journal,
-            resume=True,
-        )
-        save_records(records, records_path)
-
-    runner.stage("eval", eval_inputs, [records_path], run_eval)
+    runner.stage(
+        "eval",
+        eval_inputs,
+        [records_path],
+        lambda: run_eval(
+            prompt_paths, records_path, eval_inputs, config.mock, config.endpoint, pass2
+        ),
+    )
 
     report_dir = out / "report"
-
-    def run_analyze() -> None:
-        records = load_records(records_path)
-        instances = {}
-        for path in dataset_paths.values():
-            for inst in load_dataset(path):
-                instances[inst.instance_id] = inst
-        counts = CountTable.load(pass2)
-        reports = build_report(
-            records, instances, counts, config.tasks, config.ks, num_bins=config.bins
-        )
-        write_report(reports, report_dir, label=config.label())
-
     runner.stage(
         "analyze",
         {**runner.artifact_digests("eval"), **runner.artifact_digests("count_pass2")},
         [report_dir / "report.csv", report_dir / "report.json"],
-        run_analyze,
+        lambda: run_analyze(
+            load_records(records_path),
+            dataset_paths,
+            pass2,
+            report_dir,
+            config.label(),
+            config.tasks,
+            config.ks,
+            bins=config.bins,
+        ),
     )
 
     return runner.manifest

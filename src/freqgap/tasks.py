@@ -117,26 +117,24 @@ def _arith_operands(table: CountTable) -> list[int]:
     return qualifying
 
 
-def build_arithmetic(table: CountTable, op: str) -> list[TaskInstance]:
-    """Cross product of top first operands (< 100) with second operands 1..50."""
+def _arith_instances(table: CountTable, op: str, task_id: str) -> list[TaskInstance]:
     if op not in ("mult", "add"):
         raise DatasetError(f"unknown arithmetic op: {op!r}")
     return [
-        make_instance(op, (x1, x2))
+        make_instance(task_id, (x1, x2))
         for x1 in _arith_operands(table)
         for x2 in ARITH_X2_RANGE
     ]
+
+
+def build_arithmetic(table: CountTable, op: str) -> list[TaskInstance]:
+    """Cross product of top first operands (< 100) with second operands 1..50."""
+    return _arith_instances(table, op, op)
 
 
 def build_operation_inference(table: CountTable, op: str) -> list[TaskInstance]:
     """Same operands and answers as arithmetic, rendered with '#' instead."""
-    if op not in ("mult", "add"):
-        raise DatasetError(f"unknown arithmetic op: {op!r}")
-    return [
-        make_instance(op + "_hash", (x1, x2))
-        for x1 in _arith_operands(table)
-        for x2 in ARITH_X2_RANGE
-    ]
+    return _arith_instances(table, op, op + "_hash")
 
 
 def build_time_conversion(table: CountTable, task_id: str) -> list[TaskInstance]:
@@ -263,35 +261,36 @@ def derive_query_sets(datasets: Iterable[Sequence[TaskInstance]]) -> list[tuple[
 # File formats
 
 
+def _instance_record(inst: TaskInstance) -> dict:
+    record = {
+        "instance_id": inst.instance_id,
+        "task_id": inst.task_id,
+        "x": [term_str(c) for c in inst.x],
+    }
+    if inst.factor is not None:
+        record["factor"] = inst.factor
+    return record
+
+
+def _instance_from_record(rec: dict, y: int) -> TaskInstance:
+    return TaskInstance(
+        task_id=rec["task_id"],
+        x=tuple(parse_term(t) for t in rec["x"]),
+        y=y,
+        factor=rec.get("factor"),
+        instance_id=rec["instance_id"],
+    )
+
+
 def save_dataset(instances: Sequence[TaskInstance], path: Path | str) -> None:
     with atomic_open(path) as f:
         for inst in instances:
-            record = {
-                "instance_id": inst.instance_id,
-                "task_id": inst.task_id,
-                "x": [term_str(c) for c in inst.x],
-                "y": inst.y,
-            }
-            if inst.factor is not None:
-                record["factor"] = inst.factor
-            f.write(json.dumps(record, sort_keys=True) + "\n")
+            f.write(json.dumps({**_instance_record(inst), "y": inst.y}, sort_keys=True) + "\n")
 
 
 def load_dataset(path: Path | str) -> list[TaskInstance]:
-    instances = []
     with open(path, encoding="utf-8") as f:
-        for line in f:
-            rec = json.loads(line)
-            instances.append(
-                TaskInstance(
-                    task_id=rec["task_id"],
-                    x=tuple(parse_term(t) for t in rec["x"]),
-                    y=rec["y"],
-                    factor=rec.get("factor"),
-                    instance_id=rec["instance_id"],
-                )
-            )
-    return instances
+        return [_instance_from_record(rec, rec["y"]) for rec in map(json.loads, f)]
 
 
 def save_bundles(bundles: Sequence[PromptBundle], path: Path | str) -> None:
@@ -299,18 +298,13 @@ def save_bundles(bundles: Sequence[PromptBundle], path: Path | str) -> None:
     mock models can run without a dataset join."""
     with atomic_open(path) as f:
         for b in bundles:
-            inst = b.test_instance
             record = {
-                "instance_id": inst.instance_id,
+                **_instance_record(b.test_instance),
                 "seed": b.seed,
                 "k": b.k,
                 "prompt": b.rendered,
-                "gold": inst.y,
-                "task_id": inst.task_id,
-                "x": [term_str(c) for c in inst.x],
+                "gold": b.gold,
             }
-            if inst.factor is not None:
-                record["factor"] = inst.factor
             f.write(json.dumps(record, sort_keys=True) + "\n")
 
 
@@ -319,13 +313,7 @@ def load_bundles(path: Path | str) -> list[PromptBundle]:
     with open(path, encoding="utf-8") as f:
         for line in f:
             rec = json.loads(line)
-            inst = TaskInstance(
-                task_id=rec["task_id"],
-                x=tuple(parse_term(t) for t in rec["x"]),
-                y=rec["gold"],
-                factor=rec.get("factor"),
-                instance_id=rec["instance_id"],
-            )
+            inst = _instance_from_record(rec, rec["gold"])
             bundles.append(
                 PromptBundle(
                     inst, shots=(), seed=rec["seed"], k=rec["k"], rendered=rec["prompt"]

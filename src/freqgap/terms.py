@@ -27,8 +27,6 @@ UNIT_BASE = 10**12
 
 _UNIT_INDEX = {name: i for i, name in enumerate(UNITS)}
 
-UNIT_SECONDS_FACTORS = None  # conversion factors live in tasks.py
-
 
 def number_term(value: int) -> int:
     """Code for a non-negative integer term."""

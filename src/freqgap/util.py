@@ -48,11 +48,6 @@ def atomic_open(path: Path | str, mode: str = "w") -> Iterator[Any]:
         raise
 
 
-def atomic_write_text(path: Path | str, text: str) -> None:
-    with atomic_open(path, "w") as f:
-        f.write(text)
-
-
 def derive_seed(*parts: Any) -> int:
     """Stable 63-bit seed from a sequence of hashable labels."""
     text = "|".join(str(p) for p in parts)

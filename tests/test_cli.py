@@ -105,6 +105,40 @@ def test_cli_run_subcommand(workspace, tmp_path):
     assert all(row["acc"] == 1.0 for row in report["rows"])
 
 
+def test_cli_chain_matches_run(workspace, tmp_path):
+    # The fixture's chain used freq_logistic:1,-3,5 over mult and hour_min
+    # with k=2 and two prompt seeds; freqgap run gets the same settings.
+    cli_report = tmp_path / "cli-report"
+    assert main([
+        "analyze", "--records", str(workspace / "results" / "records.jsonl"),
+        "--datasets", str(workspace / "datasets"), "--counts", str(workspace / "counts2"),
+        "--out", str(cli_report), "--label", "mock:freq_logistic",
+    ]) == 0
+    config = {
+        "corpus": {"path": str(workspace / "corpus" / "demo.jsonl"), "format": "jsonl"},
+        "out": str(tmp_path / "run"),
+        "tasks": ["mult", "hour_min"],
+        "ks": [2],
+        "seeds": 2,
+        "mock": {"kind": "freq_logistic", "a": 1.0, "b": -3.0, "seed": 5},
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["run", "--config", str(path)]) == 0
+    run_report = tmp_path / "run" / "report" / "report.json"
+    assert run_report.read_bytes() == (cli_report / "report.json").read_bytes()
+
+
+def test_cli_eval_discards_journal_of_another_scorer(workspace, tmp_path):
+    out = tmp_path / "results"
+    for mock in ("perfect", "always_wrong"):
+        assert main([
+            "eval", "--bundles", str(workspace / "prompts"), "--mock", mock, "--out", str(out),
+        ]) == 0
+    records = [json.loads(line) for line in (out / "records.jsonl").read_text().splitlines()]
+    assert records and not any(r["correct"] for r in records)
+
+
 # --- exit codes ---------------------------------------------------------------
 
 

@@ -190,6 +190,32 @@ def test_freq_logistic_needs_counts():
         evaluate(_bundles(3), mock=MockPolicy("freq_logistic", a=1, b=-3))
 
 
+def test_journal_resume_drops_torn_last_line(tmp_path):
+    bundles = _bundles(10)
+    journal = tmp_path / "journal.jsonl"
+    evaluate(bundles[:6], mock=MockPolicy("perfect"), journal=journal)
+    text = journal.read_text()
+    journal.write_text(text[: len(text) - 30])  # a kill cut the last write short
+    records = evaluate(bundles, mock=MockPolicy("perfect"), journal=journal, resume=True)
+    assert len(records) == 10 and all(r.correct for r in records)
+    lines = journal.read_text().splitlines()
+    assert len(lines) == 10  # the torn record was scored again, on its own line
+    assert sorted(json.loads(line)["instance_id"] for line in lines) == sorted(
+        r.instance_id for r in records
+    )
+
+
+def test_journal_resume_rejects_corrupt_middle_line(tmp_path):
+    bundles = _bundles(6)
+    journal = tmp_path / "journal.jsonl"
+    evaluate(bundles, mock=MockPolicy("perfect"), journal=journal)
+    lines = journal.read_text().splitlines(keepends=True)
+    lines[2] = lines[2][:20] + "\n"
+    journal.write_text("".join(lines))
+    with pytest.raises(ValueError):
+        evaluate(bundles, mock=MockPolicy("perfect"), journal=journal, resume=True)
+
+
 def test_records_roundtrip(tmp_path):
     records = evaluate(_bundles(10), mock=MockPolicy("perfect"))
     save_records(records, tmp_path / "records.jsonl")

@@ -10,10 +10,10 @@ from freqgap.counting import (
     CounterConfig,
     CountTable,
     TermScanner,
+    _SurfaceCache,
     count_shard,
     extract_term,
     merge,
-    query,
     tokenize,
     top_numbers,
 )
@@ -82,9 +82,18 @@ def test_scanner_matches_reference_extraction(text):
         for token, pos in tokenize(text)
         if (code := extract_term(token, CFG)) is not None
     ]
-    terms, total = scanner.scan(text)
-    assert terms == expected
+    shifted, total = scanner.scan_shifted(text)
+    assert [(pos, code - 1) for pos, code in shifted] == expected
     assert total == len(tokenize(text))
+
+
+def test_scanner_cache_cap_keeps_codes_of_the_current_document(monkeypatch):
+    # the cap is applied between documents: a document that grows the
+    # cache past it still gets the codes of all its terms
+    monkeypatch.setattr(_SurfaceCache, "_CAP", 3)
+    scanner = TermScanner(CFG)
+    assert scanner.scan_shifted("7 a b c d") == ([(0, 8)], 5)
+    assert scanner.scan_shifted("e f 8 hours") == ([(2, 9), (3, unit_term("hour") + 1)], 4)
 
 
 # --- count_shard --------------------------------------------------------
@@ -205,12 +214,12 @@ def test_shard_and_merge_equals_single_pass():
 
 
 def test_query_missing_key_is_zero():
-    assert query(count_shard([], CFG), (23,)) == 0
+    assert count_shard([], CFG).query((23,)) == 0
 
 
 def test_query_is_symmetric():
     table = count_shard(["23 18"], CFG)
-    assert query(table, (23, 18)) == query(table, (18, 23)) == 1
+    assert table.query((23, 18)) == table.query((18, 23)) == 1
 
 
 # --- top_numbers --------------------------------------------------------
@@ -374,6 +383,20 @@ def test_count_corpus_spill_threshold(tmp_path):
     big = tmp_path / "big" / "counts.tsv"
     count_corpus(root, "jsonl", CFG, big, shards=2)
     assert small.read_bytes() == big.read_bytes()
+
+
+def test_count_corpus_spills_stay_distinct_past_1000_partitions(tmp_path):
+    # Spill names once keyed on len(spills) * 1000 + worker, so partition
+    # 1000's first spill overwrote partition 0's second one.
+    root = tmp_path / "corpus"
+    root.mkdir()
+    for i in range(1001):
+        (root / f"doc{i:04d}.txt").write_text(f"{i % 97} hours and {i % 13} days")
+    sharded = tmp_path / "sharded" / "counts.tsv"
+    count_corpus(root, "text", CFG, sharded, shards=1001, workers=2, spill_threshold=1)
+    single = tmp_path / "single" / "counts.tsv"
+    count_corpus(root, "text", CFG, single, shards=1)
+    assert sharded.read_bytes() == single.read_bytes()
 
 
 def test_text_format_one_document_per_file(tmp_path):
