@@ -2,10 +2,18 @@
 
 The unit of analysis is the group: all scored records whose instance
 maps to the same term set under a grouping key.  Each group carries its
-corpus frequency and mean accuracy; the performance gap is the mean
-accuracy of the top frequency decile minus the bottom decile, so it
-depends only on the frequency ORDER.  Group accuracies are kept as
-exact rationals so partition identities and decile means are exact.
+corpus frequency and its (correct, n) record counts; the performance gap
+is the mean accuracy of the top frequency decile minus the bottom
+decile, so it depends only on the frequency ORDER.  Decile and bin means
+are exact rationals built from those counts, so partition identities
+and decile means are exact.
+
+build_report makes one pass over the records and counts (correct, n)
+per (task, k, seed, grouping key, term set); pooled groups are sums over
+seeds.  Each (task, k, key) is ordered by frequency once, and that order
+serves the gap, the bins and the per-seed gaps.  aggregate,
+performance_gap, bin_accuracy and trend_fit expose the same arithmetic
+on AccuracyPoints.
 """
 
 from __future__ import annotations
@@ -15,8 +23,11 @@ import json
 import logging
 import math
 import statistics
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -87,6 +98,31 @@ class AccuracyPoint:
             raise AnalysisError("accuracy must lie in [0, 1]")
 
 
+# The gap, bin and trend arithmetic runs on group rows (freq, term set,
+# correct, n).  Rows counted from records hold integer counts; rows of
+# AccuracyPoints hold correct = acc * n.
+def _point_rows(points: Iterable[AccuracyPoint]) -> list[tuple]:
+    return [(p.freq, p.key, p.acc * p.n, p.n) for p in points]
+
+
+def _rows(correct: Counter, total: Counter, counts: CountTable) -> list[tuple]:
+    """Rows in term-set order.  Term sets from resolve_grouping are
+    canonical, so the table is read without re-canonicalizing them."""
+    freq = counts.entries.get
+    return [(freq(key, 0), key, correct[key], n) for key, n in sorted(total.items())]
+
+
+def _by_frequency(rows: Iterable[tuple]) -> list[tuple]:
+    return sorted(rows, key=itemgetter(0, 1))
+
+
+def _instance(instances_by_id: Mapping[str, TaskInstance], rec: EvalRecord) -> TaskInstance:
+    inst = instances_by_id.get(rec.instance_id)
+    if inst is None:
+        raise AnalysisError(f"record references unknown instance {rec.instance_id}")
+    return inst
+
+
 def aggregate(
     records: Iterable[EvalRecord],
     instances_by_id: Mapping[str, TaskInstance],
@@ -94,23 +130,16 @@ def aggregate(
     key: str,
 ) -> list[AccuracyPoint]:
     """Pool records into one accuracy point per distinct term set."""
-    sums: dict[tuple[int, ...], list[int]] = {}
+    correct: Counter = Counter()
+    total: Counter = Counter()
     for rec in records:
-        inst = instances_by_id.get(rec.instance_id)
-        if inst is None:
-            raise AnalysisError(f"record references unknown instance {rec.instance_id}")
-        group = resolve_grouping(inst, key)
-        cell = sums.setdefault(group, [0, 0])
-        cell[0] += 1 if rec.correct else 0
-        cell[1] += 1
+        group = resolve_grouping(_instance(instances_by_id, rec), key)
+        total[group] += 1
+        correct[group] += rec.correct
     return [
-        AccuracyPoint(key=group, freq=counts.query(group), n=n, acc=Fraction(c, n))
-        for group, (c, n) in sorted(sums.items())
+        AccuracyPoint(key=group, freq=freq, n=n, acc=Fraction(c, n))
+        for freq, group, c, n in _rows(correct, total, counts)
     ]
-
-
-def _by_frequency(points: Sequence[AccuracyPoint]) -> list[AccuracyPoint]:
-    return sorted(points, key=lambda p: (p.freq, p.key))
 
 
 def performance_gap(points: Sequence[AccuracyPoint]) -> float:
@@ -120,13 +149,16 @@ def performance_gap(points: Sequence[AccuracyPoint]) -> float:
     with ties broken by canonical key, and decile means are unweighted
     over groups.
     """
-    n = len(points)
+    return _gap(_by_frequency(_point_rows(points)))
+
+
+def _gap(ordered: Sequence[tuple]) -> float:
+    n = len(ordered)
     if n < 10:
         raise AnalysisError(f"performance gap needs at least 10 groups, got {n}")
-    ordered = _by_frequency(points)
     m = -(-n // 10)
-    bottom = sum(p.acc for p in ordered[:m]) / m
-    top = sum(p.acc for p in ordered[-m:]) / m
+    bottom = sum(Fraction(c, cn) for _f, _g, c, cn in ordered[:m]) / m
+    top = sum(Fraction(c, cn) for _f, _g, c, cn in ordered[-m:]) / m
     return float(top - bottom)
 
 
@@ -141,39 +173,36 @@ class Bin:
 def bin_accuracy(points: Sequence[AccuracyPoint], num_bins: int = 10) -> list[Bin]:
     """Contiguous equal-count frequency bins; the remainder goes to the
     lowest bins, one extra group each.  Bin accuracy is weighted by n."""
-    n = len(points)
+    return _bins(_by_frequency(_point_rows(points)), num_bins)
+
+
+def _bins(ordered: Sequence[tuple], num_bins: int) -> list[Bin]:
+    n = len(ordered)
     if n < num_bins:
         raise AnalysisError(f"need at least {num_bins} groups to form bins, got {n}")
-    ordered = _by_frequency(points)
     base, rem = divmod(n, num_bins)
     bins = []
     start = 0
     for index in range(num_bins):
         size = base + (1 if index < rem else 0)
-        chunk = ordered[start : start + size]
+        freqs, _keys, correct, ns = zip(*ordered[start : start + size])
         start += size
-        total_n = sum(p.n for p in chunk)
-        weighted = sum(p.acc * p.n for p in chunk)
-        bins.append(
-            Bin(
-                index=index,
-                mean_freq=sum(p.freq for p in chunk) / size,
-                mean_acc=weighted / total_n,
-                n=total_n,
-            )
-        )
+        bins.append(Bin(index, sum(freqs) / size, Fraction(sum(correct), sum(ns)), sum(ns)))
     return bins
 
 
 def trend_fit(points: Sequence[AccuracyPoint]) -> tuple[float, float]:
     """Least squares of accuracy against log10(freq+1), weighted by n."""
-    if len({p.freq for p in points}) < 2:
+    return _trend(_point_rows(points))
+
+
+def _trend(rows: Sequence[tuple]) -> tuple[float, float]:
+    if len({freq for freq, _g, _c, _n in rows}) < 2:
         raise AnalysisError("trend fit needs at least two distinct frequencies")
     sw = swx = swy = swxx = swxy = 0.0
-    for p in points:
-        w = p.n
-        x = math.log10(p.freq + 1)
-        y = float(p.acc)
+    for freq, _group, c, w in rows:
+        x = math.log10(freq + 1)
+        y = float(c / w)
         sw += w
         swx += w * x
         swy += w * y
@@ -215,69 +244,83 @@ def build_report(
 ) -> list[GapReport]:
     """Gap reports for every requested (task, k) cell.
 
-    Cells without records come back empty (blank row, run incomplete).
-    Seeds are pooled into the group accuracies; per-seed gaps are kept
-    as a dispersion diagnostic.
+    Cells without records come back empty (blank row, run incomplete);
+    records of other tasks or ks are ignored.  Seeds are pooled into the
+    group accuracies; per-seed gaps are kept as a dispersion diagnostic.
     """
-    by_cell: dict[tuple[str, int], list[EvalRecord]] = {}
+    wanted_ks = set(ks)
+    keys_of = {
+        t: [key for key in keys or default_keys(t) if grouping_applies(t, key)] for t in tasks
+    }
+    term_sets: dict[str, tuple] = {}  # instance id -> its term set under each key
+    # (task, k) -> seed -> (term sets of every record, of the correct records)
+    cells: dict = defaultdict(lambda: defaultdict(lambda: ([], [])))
     for rec in records:
-        by_cell.setdefault((rec.task_id, rec.k), []).append(rec)
+        if rec.task_id not in keys_of or rec.k not in wanted_ks:
+            continue
+        sets = term_sets.get(rec.instance_id)
+        if sets is None:
+            sets = term_sets[rec.instance_id] = tuple(
+                resolve_grouping(_instance(instances_by_id, rec), key)
+                for key in keys_of[rec.task_id]
+            )
+        every, correct = cells[rec.task_id, rec.k][rec.seed]
+        every.append(sets)
+        if rec.correct:
+            correct.append(sets)
 
     reports = []
     for task_id in tasks:
         for k in ks:
-            cell = by_cell.get((task_id, k), [])
-            seeds = tuple(sorted({r.seed for r in cell}))
-            if not cell:
-                reports.append(
-                    GapReport(task_id=task_id, k=k, seeds=(), n_records=0, overall_acc=None)
-                )
+            by_seed = cells.get((task_id, k))
+            if by_seed is None:
+                reports.append(GapReport(task_id, k, seeds=(), n_records=0, overall_acc=None))
                 continue
-            report = GapReport(
-                task_id=task_id,
-                k=k,
-                seeds=seeds,
-                n_records=len(cell),
-                overall_acc=Fraction(sum(1 for r in cell if r.correct), len(cell)),
-            )
-            for key in keys or default_keys(task_id):
-                if not grouping_applies(task_id, key):
-                    continue
-                points = aggregate(cell, instances_by_id, counts, key)
-                try:
-                    report.gaps[key] = performance_gap(points)
-                except AnalysisError:
-                    report.gaps[key] = None
-                try:
-                    report.bins[key] = bin_accuracy(points, num_bins)
-                except AnalysisError:
-                    report.bins[key] = []
-                try:
-                    report.trends[key] = trend_fit(points)
-                except AnalysisError:
-                    report.trends[key] = None
-                report.per_seed_gaps[key] = _per_seed_gaps(
-                    cell, seeds, instances_by_id, counts, key
-                )
+            seeds = tuple(sorted(by_seed))
+            lists = [by_seed[seed] for seed in seeds]
+            n_records = sum(len(every) for every, _ in lists)
+            hits = sum(len(correct) for _, correct in lists)
+            report = GapReport(task_id, k, seeds, n_records, Fraction(hits, n_records))
+            for i, key in enumerate(keys_of[task_id]):
+                rows = _rows(*_tally(i, lists), counts)
+                ordered = _by_frequency(rows)
+                report.gaps[key] = _or_none(_gap, ordered)
+                report.bins[key] = _or_none(_bins, ordered, num_bins) or []
+                report.trends[key] = _or_none(_trend, rows)
+                if len(seeds) == 1:  # the seed's groups are the pooled groups
+                    gap = report.gaps[key]
+                    report.per_seed_gaps[key] = None if gap is None else [gap]
+                else:
+                    per_seed = (_tally(i, [pair]) for pair in lists)
+                    report.per_seed_gaps[key] = _or_none(_seed_gaps, ordered, per_seed)
             reports.append(report)
     return reports
 
 
-def _per_seed_gaps(
-    cell: Sequence[EvalRecord],
-    seeds: Sequence[int],
-    instances_by_id: Mapping[str, TaskInstance],
-    counts: CountTable,
-    key: str,
-) -> list[float] | None:
-    gaps = []
-    for seed in seeds:
-        subset = [r for r in cell if r.seed == seed]
-        try:
-            gaps.append(performance_gap(aggregate(subset, instances_by_id, counts, key)))
-        except AnalysisError:
-            return None
-    return gaps
+def _tally(i: int, lists: Iterable[tuple[list, list]]) -> tuple[Counter, Counter]:
+    """(correct, n) per term set under grouping key i, pooled over the lists."""
+    term_set_of = itemgetter(i)
+    every, correct = zip(*lists)
+    return (
+        Counter(map(term_set_of, chain.from_iterable(correct))),
+        Counter(map(term_set_of, chain.from_iterable(every))),
+    )
+
+
+def _seed_gaps(ordered: Sequence[tuple], per_seed: Iterable[tuple[Counter, Counter]]) -> list:
+    """Each seed's gap over its own groups, taken in the pooled frequency order."""
+    return [
+        _gap([(freq, g, correct[g], n[g]) for freq, g, _c, _n in ordered if g in n])
+        for correct, n in per_seed
+    ]
+
+
+def _or_none(fn, *args):
+    """fn(*args), or None where there are too few groups for it."""
+    try:
+        return fn(*args)
+    except AnalysisError:
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -326,16 +369,9 @@ def write_report(
                 "acc": None if r.overall_acc is None else float(r.overall_acc),
                 "gaps": r.gaps,
                 "trends": {key: _trend_json(t) for key, t in r.trends.items()},
-                "per_seed_gaps": {
-                    key: None if g is None else [float(x) for x in g]
-                    for key, g in r.per_seed_gaps.items()
-                },
+                "per_seed_gaps": r.per_seed_gaps,
                 "per_seed_gap_variance": {
-                    key: (
-                        statistics.pvariance(g)
-                        if g is not None and len(g) > 1
-                        else None
-                    )
+                    key: statistics.pvariance(g) if g and len(g) > 1 else None
                     for key, g in r.per_seed_gaps.items()
                 },
             }

@@ -17,7 +17,7 @@ from . import __version__
 from .analysis import GROUPING_KEYS, compare_runs
 from .client import EndpointConfig, MockPolicy, load_records
 from .corpus import count_corpus, merge_table_files
-from .counting import CounterConfig, table_file
+from .counting import CounterConfig
 from .demo import generate_demo_corpus
 from .pipeline import (
     ConfigError,
@@ -178,10 +178,10 @@ def _cmd_eval(args) -> int:
             max_attempts=args.max_attempts,
             timeout=args.timeout,
         )
-    inputs = {path.name: sha256_file(path) for path in paths}
-    if args.counts is not None:
-        inputs["counts"] = sha256_file(table_file(args.counts))
-    inputs["scorer"] = scorer_digest(mock, endpoint)
+    inputs = {}
+    if endpoint is not None:  # the journal's fingerprint; a mock keeps no journal
+        inputs = {path.name: sha256_file(path) for path in paths}
+        inputs["scorer"] = scorer_digest(mock, endpoint)
     records_path = args.out / "records.jsonl"
     records = run_eval(
         paths, records_path, inputs, mock, endpoint, args.counts, resume=not args.no_resume

@@ -303,8 +303,9 @@ def evaluate(
 
     Records come back sorted by (task_id, k, seed, instance_id).  With a
     journal path, completed records are appended as they finish;
-    resume=True skips bundles already present in the journal.  If the
-    endpoint is unreachable the journal keeps the partial results and
+    resume=True skips bundles already present in the journal, and
+    resume=False starts the journal afresh.  If the endpoint is
+    unreachable the journal keeps the partial results and
     EndpointUnreachable propagates.
     """
     if (endpoint is None) == (mock is None):
@@ -326,7 +327,7 @@ def evaluate(
     journal_file = None
     if journal_path is not None:
         journal_path.parent.mkdir(parents=True, exist_ok=True)
-        journal_file = open(journal_path, "a", encoding="utf-8")
+        journal_file = open(journal_path, "a" if resume else "w", encoding="utf-8")
 
     def persist(record: EvalRecord) -> None:
         done[_record_key(record.instance_id, record.k, record.seed)] = record

@@ -5,8 +5,8 @@ The stage bodies (run_gen ... run_analyze) are shared with the CLI.
 Every stage writes its artifacts atomically and records their content
 digests plus the digests of its inputs; a stage is skipped on re-run
 only when both sides still match.  The corpus itself is fingerprinted
-by file paths and sizes (not content), which is cheap and adequate for
-an append-only corpus directory.
+by relative file paths, sizes and modification times (not content),
+which is cheap and catches any rewrite that updates the mtime.
 """
 
 from __future__ import annotations
@@ -292,8 +292,13 @@ class RunManifest:
 
 
 def _corpus_signature(config: RunConfig) -> str:
-    units = corpus_units(config.corpus_path, config.corpus_format)
-    listing = [[Path(u.path).name, Path(u.path).stat().st_size] for u in units]
+    """Each corpus file's path relative to the corpus root, size and mtime."""
+    root = config.corpus_path if config.corpus_path.is_dir() else config.corpus_path.parent
+    listing = []
+    for unit in corpus_units(config.corpus_path, config.corpus_format):
+        path = Path(unit.path)
+        st = path.stat()
+        listing.append([path.relative_to(root).as_posix(), st.st_size, st.st_mtime_ns])
     return sha256_text(canonical_json(listing))
 
 
@@ -391,24 +396,28 @@ def run_eval(
     counts: Path | None = None,
     resume: bool = True,
 ) -> list[EvalRecord]:
-    """Score the bundles into records_path, journaling beside it.
+    """Score the bundles into records_path.
 
-    `inputs` fingerprints what the records depend on (prompt files, count
-    table, scorer); a journal written under other inputs is discarded.
+    An endpoint eval journals beside it; `inputs` fingerprints what the
+    records depend on (prompt files, count table, scorer), and a journal
+    written under other inputs is discarded.  A mock is deterministic and
+    scoring it again is cheaper than writing every record twice, so it
+    keeps no journal.
     """
-    journal = records_path.with_name("journal.jsonl")
-    journal_inputs = records_path.with_name("journal.inputs.json")
-    current = canonical_json(inputs)
-    if journal.exists() and (
-        not journal_inputs.exists() or journal_inputs.read_text() != current
-    ):
-        journal.unlink()
-    with atomic_open(journal_inputs) as f:
-        f.write(current)
+    journal = None
+    if endpoint is not None:
+        journal = records_path.with_name("journal.jsonl")
+        journal_inputs = records_path.with_name("journal.inputs.json")
+        current = canonical_json(inputs)
+        if not (journal_inputs.exists() and journal_inputs.read_text() == current):
+            journal.unlink(missing_ok=True)
+        with atomic_open(journal_inputs) as f:
+            f.write(current)
     bundles = []
     for path in bundle_paths:
         bundles.extend(load_bundles(path))
-    table = CountTable.load(counts) if mock is not None and counts is not None else None
+    reads_counts = mock is not None and mock.kind == "freq_logistic" and counts is not None
+    table = CountTable.load(counts) if reads_counts else None  # other mocks ignore frequencies
     records = evaluate(
         bundles, endpoint=endpoint, mock=mock, counts=table, journal=journal, resume=resume
     )

@@ -9,13 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freqgap.analysis import (
+    GROUPING_KEYS,
     AccuracyPoint,
     AnalysisError,
+    GapReport,
     aggregate,
     bin_accuracy,
     build_report,
     compare_runs,
     default_keys,
+    grouping_applies,
     performance_gap,
     resolve_grouping,
     trend_fit,
@@ -435,3 +438,129 @@ def test_per_seed_gap_diagnostic():
     records, instances, counts = _full_run()
     (report,) = build_report(records, instances, counts, ["mult"], [2])
     assert report.per_seed_gaps["x1"] == [0.0, 0.0]
+
+
+# --- one-pass build_report against the per-key, per-seed composition ---------
+
+
+def _or_none(fn, *args):
+    try:
+        return fn(*args)
+    except AnalysisError:
+        return None
+
+
+def _reference_report(records, instances, counts, tasks, ks, keys, num_bins):
+    """aggregate -> performance_gap / bin_accuracy / trend_fit per (task, k,
+    key), with per-seed gaps from each seed's own subset of the records."""
+    reports = []
+    for task_id in tasks:
+        for k in ks:
+            cell = [r for r in records if r.task_id == task_id and r.k == k]
+            if not cell:
+                reports.append(GapReport(task_id, k, (), 0, None))
+                continue
+            seeds = tuple(sorted({r.seed for r in cell}))
+            report = GapReport(
+                task_id, k, seeds, len(cell), Fraction(sum(r.correct for r in cell), len(cell))
+            )
+            for key in keys or default_keys(task_id):
+                if not grouping_applies(task_id, key):
+                    continue
+                points = aggregate(cell, instances, counts, key)
+                report.gaps[key] = _or_none(performance_gap, points)
+                report.bins[key] = _or_none(bin_accuracy, points, num_bins) or []
+                report.trends[key] = _or_none(trend_fit, points)
+                per_seed = [
+                    _or_none(
+                        performance_gap,
+                        aggregate([r for r in cell if r.seed == s], instances, counts, key),
+                    )
+                    for s in seeds
+                ]
+                report.per_seed_gaps[key] = None if None in per_seed else per_seed
+            reports.append(report)
+    return reports
+
+
+_CONVERSION = "hour_min"
+
+
+def _instance_for(task_id, x1, x2):
+    if task_id == _CONVERSION:
+        return make_instance(task_id, (x1, unit_term("hour")))
+    return make_instance(task_id, (x1, x2))
+
+
+def _one_pass_inputs(draws, salt):
+    """Records from (task, x1, x2, k, seed, correct) draws.  Only instances of
+    requested cells (mult or hour_min, k in 0/2) go into the instance map, so
+    resolving any other record raises.  Frequencies are salted hashes with
+    many ties."""
+    records, instances = [], {}
+    for task_id, x1, x2, k, seed, correct in draws:
+        inst = _instance_for(task_id, x1, x2)
+        if task_id in ("mult", _CONVERSION) and k in (0, 2):
+            instances[inst.instance_id] = inst
+        records.append(_record(inst, seed=seed, k=k, correct=correct))
+    counts = _counts_table(
+        {
+            resolve_grouping(inst, key): hash((salt, resolve_grouping(inst, key))) % 7
+            for inst in instances.values()
+            for key in GROUPING_KEYS
+            if key != "x1x2x3" or inst.task_id == _CONVERSION
+        }
+    )
+    return records, instances, counts
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["mult", _CONVERSION, "add"]),
+            st.integers(0, 30),
+            st.integers(1, 4),
+            st.sampled_from([0, 2, 4]),
+            st.integers(0, 2),
+            st.booleans(),
+        ),
+        min_size=1,
+        max_size=300,
+    ),
+    st.sampled_from([None, ("x1",), ("x1", "x1x2x3"), GROUPING_KEYS]),
+    st.integers(2, 10),
+    st.integers(0, 1000),
+)
+@settings(max_examples=80, deadline=None)
+def test_build_report_equals_reference_composition(draws, keys, num_bins, salt):
+    draws = draws + [("mult", 0, 1, 2, 0, True), ("mult", 1, 1, 2, 1, False)]  # >= 2 seeds
+    records, instances, counts = _one_pass_inputs(draws, salt)
+    tasks, ks = ["mult", _CONVERSION], [0, 2]
+    assert build_report(records, instances, counts, tasks, ks, keys, num_bins) == (
+        _reference_report(records, instances, counts, tasks, ks, keys, num_bins)
+    )
+
+
+def test_build_report_one_pass_edge_cells():
+    draws = (
+        # mult k=0: three seeds with 15 groups each and seed-dependent accuracy
+        [("mult", x1, 1, 0, s, x1 > 10 or (x1 + s) % 4 == 0) for x1 in range(15) for s in range(3)]
+        # mult k=2: seed 0 has 12 x1 groups, seed 1 only 3
+        + [("mult", x1, 1, 2, 0, x1 % 3 == 0) for x1 in range(12)]
+        + [("mult", x1, 2, 2, 1, True) for x1 in range(3)]
+        # hour_min k=2: 4 groups, too few for a gap or bins
+        + [(_CONVERSION, x1, 1, 2, s, s == 0) for x1 in range(4) for s in (0, 1)]
+        # an unrequested task and an unrequested k, with unknown instances
+        + [("add", 5, 5, 2, 0, True), ("mult", 99, 1, 4, 0, True)]
+    )
+    records, instances, counts = _one_pass_inputs(draws, salt=1)
+    tasks, ks, keys = ["mult", _CONVERSION], [0, 2], ("x1", "x1x2x3")
+    reports = build_report(records, instances, counts, tasks, ks, keys)
+    assert reports == _reference_report(records, instances, counts, tasks, ks, keys, 10)
+    mult0, mult2, _, hour_min2 = reports
+    assert len(mult0.per_seed_gaps["x1"]) == 3 and len(set(mult0.per_seed_gaps["x1"])) > 1
+    assert set(mult2.gaps) == {"x1"}  # x1x2x3 does not apply to arithmetic
+    assert mult2.gaps["x1"] is not None and mult2.per_seed_gaps["x1"] is None
+    assert hour_min2.gaps == {"x1": None, "x1x2x3": None}
+    assert hour_min2.bins == {"x1": [], "x1x2x3": []}
+    assert mult2.n_records == 15 and hour_min2.n_records == 8

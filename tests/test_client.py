@@ -205,6 +205,14 @@ def test_journal_resume_drops_torn_last_line(tmp_path):
     )
 
 
+def test_journal_without_resume_starts_afresh(tmp_path):
+    bundles = _bundles(28)
+    journal = tmp_path / "journal.jsonl"
+    for _ in range(2):
+        evaluate(bundles, mock=MockPolicy("perfect"), journal=journal, resume=False)
+    assert len(journal.read_text().splitlines()) == 28
+
+
 def test_journal_resume_rejects_corrupt_middle_line(tmp_path):
     bundles = _bundles(6)
     journal = tmp_path / "journal.jsonl"

@@ -1,13 +1,17 @@
 import json
+import os
+import shutil
 
 import pytest
 
 from freqgap.client import MockPolicy
+from freqgap.counting import CountTable
 from freqgap.demo import generate_demo_corpus
 from freqgap.pipeline import (
     ConfigError,
     PipelineError,
     RunConfig,
+    _corpus_signature,
     parse_config,
     run_pipeline,
     validate_config,
@@ -205,3 +209,48 @@ def test_pipeline_always_wrong_null_result(small_corpus, tmp_path):
     for row in rows:
         assert row["acc"] == 0.0
         assert all(g == 0.0 for g in row["gaps"].values() if g is not None)
+
+
+def test_mock_eval_writes_records_once_and_skips_unused_counts(
+    small_corpus, tmp_path, monkeypatch
+):
+    loads = []
+    load = CountTable.load.__func__
+
+    def counting_load(cls, path):
+        loads.append(path)
+        return load(cls, path)
+
+    monkeypatch.setattr(CountTable, "load", classmethod(counting_load))
+    out = tmp_path / "run"
+    run_pipeline(_run_config(small_corpus, out, tasks=("mult",), ks=(0,), seeds=1))
+    pass2 = out / "counts" / "pass2" / "counts.tsv"
+    assert loads.count(pass2) == 1  # analyze only; the perfect mock ignores frequencies
+    assert [p.name for p in (out / "records").iterdir()] == ["records.jsonl"]
+
+
+def test_pipeline_recounts_after_an_edit_that_keeps_the_size(small_corpus, tmp_path):
+    corpus = tmp_path / "corpus.jsonl"
+    shutil.copy(small_corpus, corpus)
+    config = _run_config(corpus, tmp_path / "run", tasks=("mult",), ks=(0,), seeds=1)
+    first = run_pipeline(config).stages["count_pass1"]["completed_at"]
+    data = bytearray(corpus.read_bytes())
+    i = next(i for i, b in enumerate(data) if chr(b).isdigit())
+    data[i] = ord("7") if data[i] != ord("7") else ord("3")
+    before = corpus.stat()
+    corpus.write_bytes(bytes(data))
+    os.utime(corpus, ns=(before.st_atime_ns, before.st_mtime_ns + 10**9))
+    assert corpus.stat().st_size == before.st_size
+    assert run_pipeline(config).stages["count_pass1"]["completed_at"] != first
+
+
+def test_corpus_signature_tells_same_named_files_apart(tmp_path):
+    root = tmp_path / "corpus"
+    (root / "a").mkdir(parents=True)
+    (root / "a" / "doc.txt").write_text("18 23 hours\n")
+    config = RunConfig(
+        corpus_path=root, corpus_format="text", out=tmp_path / "run", mock=MockPolicy("perfect")
+    )
+    before = _corpus_signature(config)
+    os.renames(root / "a" / "doc.txt", root / "b" / "doc.txt")  # keeps size and mtime
+    assert _corpus_signature(config) != before
