@@ -403,11 +403,10 @@ def save_records(records: Sequence[EvalRecord], path: Path | str) -> None:
 
 
 def load_records(path: Path | str) -> list[EvalRecord]:
+    """Records of a records file, or of the records.jsonl in a directory;
+    an endpoint eval's journal.jsonl beside it is never read."""
     path = Path(path)
-    paths = sorted(path.glob("*.jsonl")) if path.is_dir() else [path]
-    records = []
-    for p in paths:
-        with open(p, encoding="utf-8") as f:
-            for line in f:
-                records.append(EvalRecord.from_dict(json.loads(line)))
-    return records
+    if path.is_dir():
+        path = path / "records.jsonl"
+    with open(path, encoding="utf-8") as f:
+        return [EvalRecord.from_dict(json.loads(line)) for line in f]

@@ -6,10 +6,16 @@ pairs (i, j), i < j, lying in one window inside one document; triples
 need the full span inside one window.  Windows never cross document
 boundaries.
 
-Two counting passes are supported: the default pass emits unigrams plus
-(number, number) pairs with both values below 10,000 and all
-(number, unit) pairs; a targeted pass emits unigrams plus exactly the
-requested term sets (pairs and triples).
+One window loop counts every table: all unigrams, the default pair
+family ((number, number) pairs with both values below 10,000 and all
+(number, unit) pairs) and CONVERSION_TRIPLES, {x1, u, f} and
+{x1, u, x1*f} for each time-unit conversion's unit u and factor f,
+1 <= x1 <= 99.  The two numbers of such a triple form a default-family
+pair, so the loop looks triples up only on number pairs it counts.  A
+targeted config (with_targets) runs the same loop, then the selection
+of the unigrams and exactly the targets; a target outside those
+families (a unit-unit pair, say) makes the loop count every pair.
+CountTable.select makes that selection from a counted table.
 
 A table file is a `key<TAB>count` TSV sorted by key string plus a
 `.meta.json` sidecar.  write_table is its one writer, combine_metas the
@@ -24,10 +30,12 @@ import logging
 from collections import defaultdict
 from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
+from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .terms import UNIT_BASE, UNITS, key_str, parse_key, term_set, unit_term
+from .terms import CONVERSION_MAX_DIGITS, CONVERSION_TASKS, UNIT_BASE, UNITS, key_str
+from .terms import parse_key, term_set, unit_term
 from .util import atomic_open, canonical_json, sha256_text
 
 log = logging.getLogger(__name__)
@@ -39,6 +47,19 @@ STRIP_CHARS = ".,;:!?()\"'[]"
 NN_PAIR_MAX = 10_000
 
 DEFAULT_UNIT_LEXICON: tuple[tuple[str, str], ...] = tuple((u, u + "s") for u in UNITS)
+
+CONVERSION_TRIPLES: frozenset[tuple[int, ...]] = frozenset(
+    term_set((x1, unit_term(unit), y))
+    for unit, factor in CONVERSION_TASKS.values()
+    for x1 in range(1, 10**CONVERSION_MAX_DIGITS)
+    for y in (factor, x1 * factor)
+)
+
+
+def _default_pair(key: tuple[int, ...]) -> bool:
+    """Whether the default pair family holds the sorted pair `key`."""
+    a, b = key
+    return a < UNIT_BASE <= b or b < NN_PAIR_MAX
 
 
 class ConfigDigestMismatch(ValueError):
@@ -79,6 +100,12 @@ class CounterConfig:
     def with_targets(self, targets: Iterable[tuple[int, ...]]) -> "CounterConfig":
         return replace(self, target_sets=frozenset(term_set(t) for t in targets))
 
+    def counts(self, key: tuple[int, ...]) -> bool:
+        """Whether the window loop counts the term set `key` under this config."""
+        if len(key) == 1 or (self.target_sets is not None and key in self.target_sets):
+            return True
+        return _default_pair(key) if len(key) == 2 else key in CONVERSION_TRIPLES
+
     def digest(self) -> str:
         targets = None
         if self.target_sets is not None:
@@ -90,6 +117,7 @@ class CounterConfig:
                     "window_rule": self.window_rule,
                     "max_number_digits": self.max_number_digits,
                     "unit_lexicon": [list(pair) for pair in self.unit_lexicon],
+                    "triple_family": [CONVERSION_MAX_DIGITS, list(CONVERSION_TASKS.values())],
                     "targets": targets,
                 }
             )
@@ -218,6 +246,19 @@ class CountTable:
     def save(self, path: Path | str) -> None:
         write_table(path, _sorted_lines(self.entries), self.meta)
 
+    def select(self, targeted: CounterConfig) -> "CountTable":
+        """The table a count of this table's corpus under `targeted` gives.
+        This table must be counted under `targeted` without targets, and
+        a target it does not count raises instead of reading as 0."""
+        counted = replace(targeted, target_sets=None)
+        if self.meta.config_digest != counted.digest():
+            raise ConfigDigestMismatch("table was counted under another configuration")
+        outside = [key_str(t) for t in targeted.target_sets if not counted.counts(t)]
+        if outside:
+            raise ValueError(f"{len(outside)} targets outside the counted term sets: {outside[0]}")
+        entries = _select(self.entries, targeted.target_sets)
+        return CountTable(entries, replace(self.meta, config_digest=targeted.digest()))
+
     @classmethod
     def load(cls, path: Path | str) -> "CountTable":
         path = table_file(path)
@@ -237,6 +278,11 @@ def _meta_path(table_path: Path) -> Path:
 
 def read_meta(table_path: Path | str) -> CountMeta:
     return CountMeta(**json.loads(_meta_path(Path(table_path)).read_text()))
+
+
+def _select(entries: dict[tuple[int, ...], int], targets: frozenset) -> dict[tuple[int, ...], int]:
+    """The unigrams and the target term sets among a table's entries."""
+    return {key: n for key, n in entries.items() if len(key) == 1 or key in targets}
 
 
 def _sorted_lines(entries: dict[tuple[int, ...], int]) -> list[tuple[str, int]]:
@@ -314,15 +360,19 @@ class _ShardAccumulator:
         self.scanner = TermScanner(config)
         self.uni: dict[int, int] = defaultdict(int)
         self.pairs: dict[tuple[int, int], int] = defaultdict(int)
-        self.triples: dict[tuple[int, int, int], int] = defaultdict(int)
+        self.triples: dict[tuple[int, ...], int] = defaultdict(int)
         self.documents = 0
         self.tokens = 0
-        if config.target_sets is None:
-            self.pair_targets = None
-            self.triple_targets: frozenset = frozenset()
-        else:
-            self.pair_targets = frozenset(t for t in config.target_sets if len(t) == 2)
-            self.triple_targets = frozenset(t for t in config.target_sets if len(t) == 3)
+        # A triple is found from its anchor, its first two terms in sorted
+        # order: a number pair unless the triple holds two units.  A target
+        # with a pair outside the default family (two units, or a number of
+        # NN_PAIR_MAX or more) needs the wide loop: every pair counted and
+        # looked up.
+        targets = config.target_sets or frozenset()
+        self.anchors: dict = defaultdict(dict)  # anchor -> {third code + 1: triple}
+        for t in CONVERSION_TRIPLES | {t for t in targets if len(t) == 3}:
+            self.anchors[t[:2]][t[2] + 1] = t
+        self.wide = any(not _default_pair(p) for t in targets for p in combinations(t, 2))
 
     def add_document(self, text: str) -> None:
         # Codes in `terms` are shifted by +1 (see _SurfaceCache); all
@@ -336,44 +386,56 @@ class _ShardAccumulator:
         maxdist = self.config.max_distance
         uni = self.uni
         pairs = self.pairs
+        anchors = self.anchors
+        wide = self.wide
+        unit_base = UNIT_BASE  # locals, read once per pair
+        nn_max = 2 * UNIT_BASE if wide else NN_PAIR_MAX  # wide: every number pair
         lo = 0
-        if self.pair_targets is None:
-            for idx, (p, c) in enumerate(terms):
-                uni[c] += 1
-                lo_p = p - maxdist
-                while terms[lo][0] < lo_p:
-                    lo += 1
-                if lo == idx:
-                    continue
-                c_unit = c > UNIT_BASE
-                c_small = c <= NN_PAIR_MAX
-                for j in range(lo, idx):
-                    d = terms[j][1]
-                    if d > UNIT_BASE:
-                        if c_unit:
-                            continue
-                    elif not (c_unit or (c_small and d <= NN_PAIR_MAX)):
+        for idx, (p, c) in enumerate(terms):
+            uni[c] += 1
+            lo_p = p - maxdist
+            while terms[lo][0] < lo_p:
+                lo += 1
+            if lo == idx:
+                continue
+            c_unit = c > unit_base
+            c_small = c <= nn_max
+            for j in range(lo, idx):
+                d = terms[j][1]
+                if d > unit_base:
+                    if c_unit and not wide:
                         continue
-                    pairs[(d - 1, c - 1) if d <= c else (c - 1, d - 1)] += 1
-        else:
-            pair_targets = self.pair_targets
-            triple_targets = self.triple_targets
-            triples = self.triples
-            for idx, (p, c) in enumerate(terms):
-                uni[c] += 1
-                lo_p = p - maxdist
-                while terms[lo][0] < lo_p:
-                    lo += 1
-                for j in range(lo, idx):
-                    d = terms[j][1]
-                    key = (d - 1, c - 1) if d <= c else (c - 1, d - 1)
-                    if key in pair_targets:
+                elif not c_unit:
+                    # number pairs are the only anchors unless wide; the
+                    # branches stay apart to keep (number, unit) pairs cheap
+                    if c_small and d <= nn_max:
+                        key = (d - 1, c - 1) if d <= c else (c - 1, d - 1)
                         pairs[key] += 1
-                    if triple_targets:
-                        for i2 in range(lo, j):
-                            key3 = tuple(sorted((terms[i2][1] - 1, d - 1, c - 1)))
-                            if key3 in triple_targets:
-                                triples[key3] += 1
+                        thirds = anchors.get(key)
+                        if thirds is not None:
+                            self._add_triples(terms, lo, j, idx, thirds)
+                    continue
+                key = (d - 1, c - 1) if d <= c else (c - 1, d - 1)
+                pairs[key] += 1
+                if wide:
+                    thirds = anchors.get(key)
+                    if thirds is not None:
+                        self._add_triples(terms, lo, j, idx, thirds)
+
+    def _add_triples(self, terms: list, lo: int, j: int, idx: int, thirds: dict) -> None:
+        """Count the triples of anchor (j, idx) and a third term in the
+        window.  The third may lie before, between or after the anchor; it
+        sorts last by (code, position), which counts each triple once."""
+        maxdist = self.config.max_distance
+        pj, d = terms[j]
+        top = max((d, pj), terms[idx][::-1])
+        for i3 in range(lo, len(terms)):
+            q, e = terms[i3]
+            if q - pj > maxdist:
+                break
+            triple = thirds.get(e)
+            if triple is not None and (e, q) > top:
+                self.triples[triple] += 1
 
     @property
     def size(self) -> int:
@@ -384,7 +446,8 @@ class _ShardAccumulator:
         out: dict[tuple[int, ...], int] = {(c - 1,): n for c, n in self.uni.items()}
         out.update(self.pairs)
         out.update(self.triples)
-        return out
+        targets = self.config.target_sets
+        return out if targets is None else _select(out, targets)
 
     def spill(self, path: Path) -> None:
         """Write the accumulated counts as a sorted partial table and reset."""

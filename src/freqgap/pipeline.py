@@ -1,6 +1,8 @@
-"""End-to-end run orchestration: count, generate, target, recount, prompt,
-evaluate, analyze, with a manifest that makes completed stages resumable.
-The stage bodies (run_gen ... run_analyze) are shared with the CLI.
+"""End-to-end run orchestration: count, generate, target, select the
+targeted counts, prompt, evaluate, analyze, with a manifest that makes
+completed stages resumable.  The stage bodies (run_gen ... run_analyze)
+are shared with the CLI.  The corpus is read once: the targeted table
+(stage count_pass2) is selected from the pass-1 table.
 
 Every stage writes its artifacts atomically and records their content
 digests plus the digests of its inputs; a stage is skipped on re-run
@@ -312,8 +314,10 @@ class _Runner:
         name: str,
         inputs: dict[str, str],
         artifacts: list[Path],
-        run: Callable[[], None],
-    ) -> None:
+        run: Callable[[], Any],
+    ) -> Any:
+        """run() and record its artifacts; return its result, or None when
+        the stage is up to date and skipped."""
         recorded = self.manifest.stages.get(name)
         rels = [str(p.relative_to(self.out)) for p in artifacts]
         if recorded is not None and recorded.get("inputs") == inputs:
@@ -323,10 +327,10 @@ class _Runner:
                 for rel, digest in existing.items()
             ):
                 log.info("stage %s: up to date, skipping", name)
-                return
+                return None
         log.info("stage %s: running", name)
         started = time.time()
-        run()
+        result = run()
         digests = {}
         for rel, path in zip(rels, artifacts):
             if not path.exists():
@@ -340,6 +344,7 @@ class _Runner:
         }
         with atomic_open(self.out / "manifest.json") as f:
             f.write(canonical_json(asdict(self.manifest)))
+        return result
 
     def artifact_digests(self, name: str) -> dict[str, str]:
         return dict(self.manifest.stages[name]["artifacts"])
@@ -455,7 +460,7 @@ def run_analyze(
 
 
 def run_pipeline(config: RunConfig, force: bool = False) -> RunManifest:
-    """Execute count -> gen -> targets -> count -> prompts -> eval -> analyze.
+    """Execute count -> gen -> targets -> select -> prompts -> eval -> analyze.
 
     Stages whose recorded input and artifact digests still match are
     skipped; a manifest from a different config refuses to resume
@@ -484,7 +489,7 @@ def run_pipeline(config: RunConfig, force: bool = False) -> RunManifest:
     pass1 = out / "counts" / "pass1" / "counts.tsv"
     runner.stage(
         "count_pass1",
-        base_inputs,
+        {**base_inputs, "counter": counter.digest()},
         [pass1, pass1.with_suffix(".meta.json")],
         lambda: count_corpus(
             config.corpus_path, config.corpus_format, counter, pass1, shards=config.shards
@@ -511,15 +516,11 @@ def run_pipeline(config: RunConfig, force: bool = False) -> RunManifest:
     pass2 = out / "counts" / "pass2" / "counts.tsv"
     runner.stage(
         "count_pass2",
-        {**base_inputs, **runner.artifact_digests("targets")},
+        {**runner.artifact_digests("count_pass1"), **runner.artifact_digests("targets")},
         [pass2, pass2.with_suffix(".meta.json")],
-        lambda: count_corpus(
-            config.corpus_path,
-            config.corpus_format,
-            counter.with_targets(load_targets(targets_path)),
-            pass2,
-            shards=config.shards,
-        ),
+        lambda: CountTable.load(pass1)
+        .select(counter.with_targets(load_targets(targets_path)))
+        .save(pass2),
     )
 
     prompts_dir = out / "prompts"
@@ -542,7 +543,7 @@ def run_pipeline(config: RunConfig, force: bool = False) -> RunManifest:
         **runner.artifact_digests("count_pass2"),
         "scorer": scorer_digest(config.mock, config.endpoint),
     }
-    runner.stage(
+    records = runner.stage(
         "eval",
         eval_inputs,
         [records_path],
@@ -557,7 +558,7 @@ def run_pipeline(config: RunConfig, force: bool = False) -> RunManifest:
         {**runner.artifact_digests("eval"), **runner.artifact_digests("count_pass2")},
         [report_dir / "report.csv", report_dir / "report.json"],
         lambda: run_analyze(
-            load_records(records_path),
+            load_records(records_path) if records is None else records,
             dataset_paths,
             pass2,
             report_dir,

@@ -18,7 +18,8 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .counting import CountTable, top_numbers
-from .terms import key_str, parse_key, parse_term, term_set, term_str, term_value, unit_term
+from .terms import CONVERSION_MAX_DIGITS, CONVERSION_TASKS, key_str, parse_key, parse_term
+from .terms import term_set, term_str, term_value, unit_term
 from .util import atomic_open
 
 
@@ -27,17 +28,6 @@ class DatasetError(ValueError):
 
 
 ARITH_TASKS = ("mult", "add", "mult_hash", "add_hash")
-
-# task_id -> (source unit, implicit conversion factor)
-CONVERSION_TASKS: dict[str, tuple[str, int]] = {
-    "min_sec": ("minute", 60),
-    "hour_min": ("hour", 60),
-    "day_hour": ("day", 24),
-    "week_day": ("week", 7),
-    "month_week": ("month", 4),
-    "year_month": ("year", 12),
-    "decade_year": ("decade", 10),
-}
 
 ALL_TASKS: tuple[str, ...] = ARITH_TASKS + tuple(CONVERSION_TASKS)
 
@@ -60,7 +50,6 @@ TEMPLATES: dict[str, str] = {
 ARITH_X1_BOUND = 100
 ARITH_X2_RANGE = range(1, 51)
 TOP_K = 200
-CONVERSION_MAX_DIGITS = 2
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,20 @@ UNITS: tuple[str, ...] = (
 # Number codes must stay below UNIT_BASE; caps max_number_digits at 12.
 UNIT_BASE = 10**12
 
+# The time-unit conversion tasks: task_id -> (source unit, implicit
+# conversion factor); first operands are positive, of at most
+# CONVERSION_MAX_DIGITS digits.
+CONVERSION_TASKS: dict[str, tuple[str, int]] = {
+    "min_sec": ("minute", 60),
+    "hour_min": ("hour", 60),
+    "day_hour": ("day", 24),
+    "week_day": ("week", 7),
+    "month_week": ("month", 4),
+    "year_month": ("year", 12),
+    "decade_year": ("decade", 10),
+}
+CONVERSION_MAX_DIGITS = 2
+
 _UNIT_INDEX = {name: i for i, name in enumerate(UNITS)}
 
 

@@ -10,13 +10,25 @@ from __future__ import annotations
 import random
 
 from freqgap.counting import NN_PAIR_MAX, CounterConfig, extract_term, tokenize
-from freqgap.terms import UNIT_BASE
+from freqgap.terms import CONVERSION_TASKS, UNIT_BASE, unit_term
+
+# {x1, unit, factor} and {x1, unit, x1 * factor}, 1 <= x1 <= 99
+FAMILY_TRIPLES = {
+    tuple(sorted((x1, unit_term(unit), y)))
+    for unit, factor in CONVERSION_TASKS.values()
+    for x1 in range(1, 100)
+    for y in (factor, x1 * factor)
+}
 
 
 def oracle_count(documents, config: CounterConfig) -> dict[tuple[int, ...], int]:
-    """Exact counts by direct enumeration of in-window position tuples."""
+    """Exact counts by direct enumeration of in-window position tuples.
+
+    The default pass counts the default pair family and FAMILY_TRIPLES;
+    a targeted pass counts exactly its targets (plus unigrams)."""
     maxdist = config.max_distance
-    pair_targets = triple_targets = None
+    pair_targets = None
+    triple_targets = FAMILY_TRIPLES
     if config.target_sets is not None:
         pair_targets = {t for t in config.target_sets if len(t) == 2}
         triple_targets = {t for t in config.target_sets if len(t) == 3}
@@ -47,17 +59,15 @@ def oracle_count(documents, config: CounterConfig) -> dict[tuple[int, ...], int]
                         bump(pair)
                     elif ca < NN_PAIR_MAX and cb < NN_PAIR_MAX:
                         bump(pair)
-                else:
-                    if pair in pair_targets:
-                        bump(pair)
-                    if triple_targets:
-                        for c in range(b + 1, len(terms)):
-                            pc, cc = terms[c]
-                            if pc - pa > maxdist:
-                                break
-                            triple = tuple(sorted((ca, cb, cc)))
-                            if triple in triple_targets:
-                                bump(triple)
+                elif pair in pair_targets:
+                    bump(pair)
+                for c in range(b + 1, len(terms)):
+                    pc, cc = terms[c]
+                    if pc - pa > maxdist:
+                        break
+                    triple = tuple(sorted((ca, cb, cc)))
+                    if triple in triple_targets:
+                        bump(triple)
     return counts
 
 

@@ -231,6 +231,15 @@ def test_records_roundtrip(tmp_path):
     assert load_records(tmp_path) == records  # directory form
 
 
+def test_records_directory_form_skips_the_journal(tmp_path):
+    # an endpoint eval leaves journal.jsonl beside records.jsonl; reading
+    # both counted every record twice
+    records = evaluate(_bundles(10), mock=MockPolicy("perfect"), journal=tmp_path / "journal.jsonl")
+    save_records(records, tmp_path / "records.jsonl")
+    assert len((tmp_path / "journal.jsonl").read_text().splitlines()) == len(records)
+    assert load_records(tmp_path) == records
+
+
 # --- endpoint config -------------------------------------------------------
 
 

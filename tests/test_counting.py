@@ -1,11 +1,14 @@
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import freqgap.counting as counting_mod
 from freqgap.corpus import count_corpus, merge_table_files
 from freqgap.counting import (
+    CONVERSION_TRIPLES,
     ConfigDigestMismatch,
     CounterConfig,
     CountTable,
@@ -172,6 +175,97 @@ def test_triple_span_rule():
     assert table.query((1, 2, 3)) == 1
     table = count_shard(["1 x x x 2 3"], cfg)  # span 5 > 4
     assert table.query((1, 2, 3)) == 0
+
+
+# --- the conversion-triple family and the selection ---------------------
+
+
+def test_default_pass_counts_conversion_triples():
+    minute, hour = unit_term("minute"), unit_term("hour")
+    table = count_shard(["3 hours is 180 minutes"], CFG)
+    assert table.query((3, 180, hour)) == 1  # {x1, u, x1 * f}
+    assert table.query((3, 180, minute)) == 1  # positions 0, 3, 4: span 4
+    assert table.query((3, 60, hour)) == 0
+    assert {k for k in table.entries if len(k) == 3} == {
+        term_set((3, 180, hour)), term_set((3, 180, minute))
+    }
+    # 7 units x 99 first operands x 2, less x1 = 1 (where f == x1 * f) and
+    # {4, month, 16} and {7, week, 49}, which are {f, u, f * f} as well
+    assert len(CONVERSION_TRIPLES) == 7 * 99 * 2 - 7 - 2
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(["5", "minutes", "60"])))
+def test_conversion_triple_counted_once_in_any_order(order):
+    table = count_shard([" ".join(order)], CFG)
+    assert table.query((5, 60, unit_term("minute"))) == 1
+
+
+def test_repeated_terms_count_each_position_triple_once():
+    # targets with repeated terms: C(4, 3) position triples of four 7s,
+    # and (5, hour, hour) needs the wide loop (unit-unit sub-pair)
+    hour = unit_term("hour")
+    cfg = CFG.with_targets([(7, 7, 7), (5, hour, hour)])
+    assert count_shard(["7 7 7 7"], cfg).query((7, 7, 7)) == 4
+    assert count_shard(["hours 5 hours hours"], cfg).query((5, hour, hour)) == 3
+    assert count_shard(["60 60 minutes"], CFG).query((60, 60, unit_term("minute"))) == 1
+
+
+def test_counter_digest_names_the_triple_family(monkeypatch):
+    before = CounterConfig().digest()
+    monkeypatch.setattr(counting_mod, "CONVERSION_TASKS", {"min_sec": ("minute", 60)})
+    assert CounterConfig().digest() != before
+
+
+def _targets_strategy():
+    number = st.integers(0, 120)
+    big = st.integers(10_000, 999_999)
+    unit = st.sampled_from([unit_term(u) for u in ("minute", "hour", "day", "year")])
+    family = st.sampled_from(sorted(CONVERSION_TRIPLES))
+    key = st.one_of(
+        st.tuples(number),
+        st.tuples(number, st.one_of(number, unit)),  # default-family pairs
+        st.tuples(unit, unit),  # unit-unit pairs
+        st.tuples(number, big),  # number pairs past NN_PAIR_MAX
+        family,
+        st.tuples(number, number, st.one_of(number, unit)),  # mostly outside the family
+        st.tuples(number, unit, unit),
+    )
+    return st.lists(key, max_size=25)
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 5, 8]), _targets_strategy())
+@settings(max_examples=60, deadline=None)
+def test_targeted_count_equals_oracle_for_any_targets(seed, window, targets):
+    rng = random.Random(seed)
+    docs = random_corpus(rng, rng.randrange(1, 10))
+    docs += ["60 minutes 5 hours 300 seconds", "7 weeks 49 days 7 7"]
+    default = CounterConfig(window=window)
+    cfg = default.with_targets(targets)
+    table = count_shard(docs, cfg)
+    assert table.entries == oracle_count(docs, cfg)
+    if all(default.counts(t) for t in cfg.target_sets):
+        selected = count_shard(docs, default).select(cfg)
+        assert selected.entries == table.entries
+        assert selected.meta == table.meta
+
+
+def test_selection_raises_for_a_target_outside_the_counted_families():
+    hour = unit_term("hour")
+    table = count_shard(["5 hours 3 days"], CFG)
+    assert table.select(CFG.with_targets([(5, hour)])).query((5, hour)) == 1
+    for outside in [
+        (hour, unit_term("day")),  # unit-unit pair
+        (5, 10_000),  # number pair past NN_PAIR_MAX
+        (3, 5, hour),  # triple outside the conversion family
+    ]:
+        with pytest.raises(ValueError, match="outside the counted term sets"):
+            table.select(CFG.with_targets([outside]))
+
+
+def test_selection_rejects_a_table_of_another_configuration():
+    table = count_shard(["5 hours"], CounterConfig(window=7))
+    with pytest.raises(ConfigDigestMismatch):
+        table.select(CFG.with_targets([(5, unit_term("hour"))]))
 
 
 # --- merge and query ----------------------------------------------------

@@ -4,8 +4,9 @@ import shutil
 
 import pytest
 
-from freqgap.client import MockPolicy
-from freqgap.counting import CountTable
+from freqgap.client import MockPolicy, load_records
+from freqgap.corpus import count_corpus
+from freqgap.counting import CONVERSION_TRIPLES, CountTable
 from freqgap.demo import generate_demo_corpus
 from freqgap.pipeline import (
     ConfigError,
@@ -16,6 +17,7 @@ from freqgap.pipeline import (
     run_pipeline,
     validate_config,
 )
+from freqgap.tasks import load_targets
 
 BASE_CONFIG = {
     "corpus": {"path": "/tmp/corpus", "format": "jsonl"},
@@ -254,3 +256,79 @@ def test_corpus_signature_tells_same_named_files_apart(tmp_path):
     before = _corpus_signature(config)
     os.renames(root / "a" / "doc.txt", root / "b" / "doc.txt")  # keeps size and mtime
     assert _corpus_signature(config) != before
+
+
+# --- one corpus pass -----------------------------------------------------------
+
+
+def test_pipeline_counts_once_and_selects_pass2(small_corpus, tmp_path, monkeypatch):
+    import freqgap.pipeline as pipeline_mod
+
+    calls = []
+
+    def counting_count_corpus(*args, **kwargs):
+        calls.append(args)
+        return count_corpus(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline_mod, "count_corpus", counting_count_corpus)
+    out = tmp_path / "run"
+    config = _run_config(small_corpus, out, ks=(0,), seeds=1)
+    run_pipeline(config)
+    assert len(calls) == 1
+    monkeypatch.undo()
+
+    targeted = config.counter_config().with_targets(load_targets(out / "targets.txt"))
+    direct = tmp_path / "direct" / "counts.tsv"
+    count_corpus(small_corpus, "jsonl", targeted, direct)
+    pass2 = out / "counts" / "pass2" / "counts.tsv"
+    for table in (pass2, pass2.with_suffix(".meta.json")):
+        assert table.read_bytes() == direct.with_name(table.name).read_bytes()
+    # the pass-1 table holds pass 2's keys, and its 3-term keys are conversion triples
+    pass1 = CountTable.load(out / "counts" / "pass1" / "counts.tsv")
+    assert CountTable.load(pass2).entries.items() <= pass1.entries.items()
+    triples = [k for k in pass1.entries if len(k) == 3]
+    assert triples and set(triples) <= CONVERSION_TRIPLES
+
+
+def test_pipeline_recounts_pass1_counted_under_another_counter(
+    small_corpus, tmp_path, monkeypatch
+):
+    import freqgap.counting as counting_mod
+
+    out = tmp_path / "run"
+    config = _run_config(small_corpus, out, tasks=("hour_min",), ks=(0,), seeds=1)
+    first = run_pipeline(config).stages["count_pass1"]
+    report = (out / "report" / "report.json").read_bytes()
+    # a counter whose digest names another triple family, as a run
+    # directory written by a counter without the family would hold
+    monkeypatch.setattr(counting_mod, "CONVERSION_TASKS", {"hour_min": ("hour", 60)})
+    second = run_pipeline(config).stages["count_pass1"]
+    assert second["completed_at"] != first["completed_at"]
+    assert second["inputs"]["counter"] != first["inputs"]["counter"]
+    assert (out / "report" / "report.json").read_bytes() == report
+
+
+def test_analyze_uses_eval_records_and_reads_the_file_only_when_eval_is_skipped(
+    small_corpus, tmp_path, monkeypatch
+):
+    import freqgap.pipeline as pipeline_mod
+
+    loads = []
+
+    def counting_load_records(path):
+        loads.append(path)
+        return load_records(path)
+
+    monkeypatch.setattr(pipeline_mod, "load_records", counting_load_records)
+    out = tmp_path / "run"
+    config = _run_config(small_corpus, out, mock="freq_logistic:1,-3,6", ks=(0, 2), seeds=2)
+    run_pipeline(config)
+    assert loads == []
+    fresh = (out / "report" / "report.json").read_bytes()
+    shutil.rmtree(out / "report")
+    manifest = run_pipeline(config)
+    assert loads == [out / "records" / "records.jsonl"]
+    assert set(manifest.stages) == {
+        "count_pass1", "gen", "targets", "count_pass2", "prompts", "eval", "analyze",
+    }
+    assert (out / "report" / "report.json").read_bytes() == fresh
