@@ -16,7 +16,7 @@ from pathlib import Path
 from . import __version__
 from .analysis import GROUPING_KEYS, compare_runs
 from .client import EndpointConfig, MockPolicy, load_records
-from .corpus import count_corpus, merge_table_files
+from .corpus import CORPUS_FORMATS, count_corpus, merge_table_files
 from .counting import CounterConfig
 from .demo import generate_demo_corpus
 from .pipeline import (
@@ -53,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count", help="count term co-occurrences over a corpus")
     p.add_argument("--corpus", required=True, type=Path)
-    p.add_argument("--format", choices=("text", "jsonl"), default="jsonl")
+    p.add_argument("--format", choices=CORPUS_FORMATS, default="jsonl")
     p.add_argument("--window", type=int, default=5)
     p.add_argument("--max-digits", type=int, default=6)
     p.add_argument("--out", required=True, type=Path, help="output directory")
@@ -121,9 +121,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_count(args) -> int:
-    config = CounterConfig(window=args.window, max_number_digits=args.max_digits)
-    if args.targets is not None:
-        config = config.with_targets(load_targets(args.targets))
+    try:
+        config = CounterConfig(window=args.window, max_number_digits=args.max_digits)
+        if args.targets is not None:
+            config = config.with_targets(load_targets(args.targets))
+    except ValueError as exc:  # a window, digit limit or target the counter rejects
+        raise UsageError(str(exc)) from exc
     count_corpus(
         args.corpus,
         args.format,

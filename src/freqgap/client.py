@@ -18,9 +18,9 @@ import re
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import requests
 
@@ -119,24 +119,6 @@ class EvalRecord:
     correct: bool
     latency: float
     error: str | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "instance_id": self.instance_id,
-            "task_id": self.task_id,
-            "k": self.k,
-            "seed": self.seed,
-            "prompt_digest": self.prompt_digest,
-            "raw_output": self.raw_output,
-            "extracted": self.extracted,
-            "correct": self.correct,
-            "latency": self.latency,
-            "error": self.error,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "EvalRecord":
-        return cls(**data)
 
 
 _DIGITS_RE = re.compile(r"[0-9]+")
@@ -332,7 +314,7 @@ def evaluate(
     def persist(record: EvalRecord) -> None:
         done[_record_key(record.instance_id, record.k, record.seed)] = record
         if journal_file is not None:
-            journal_file.write(json.dumps(record.to_dict(), sort_keys=True) + "\n")
+            journal_file.write(json.dumps(vars(record), sort_keys=True) + "\n")
             journal_file.flush()
 
     try:
@@ -380,26 +362,16 @@ def _read_journal(path: Path) -> list[EvalRecord]:
                 log.warning("%s: dropping a partial last line", path)
                 os.truncate(path, good)
                 break
-            records.append(EvalRecord.from_dict(json.loads(line)))
+            records.append(EvalRecord(**json.loads(line)))
             good += len(line)
     return records
-
-
-def rescore(records: Iterable[EvalRecord], gold_by_instance: dict[str, int]) -> list[EvalRecord]:
-    """Recompute extraction and correctness from persisted raw outputs."""
-    out = []
-    for rec in records:
-        extracted = extract_answer(rec.raw_output) if rec.error is None else None
-        correct = score(extracted, gold_by_instance[rec.instance_id])
-        out.append(replace(rec, extracted=extracted, correct=correct))
-    return out
 
 
 def save_records(records: Sequence[EvalRecord], path: Path | str) -> None:
     ordered = sorted(records, key=_record_sort_key)
     with atomic_open(path) as f:
         for rec in ordered:
-            f.write(json.dumps(rec.to_dict(), sort_keys=True) + "\n")
+            f.write(json.dumps(vars(rec), sort_keys=True) + "\n")
 
 
 def load_records(path: Path | str) -> list[EvalRecord]:
@@ -409,4 +381,4 @@ def load_records(path: Path | str) -> list[EvalRecord]:
     if path.is_dir():
         path = path / "records.jsonl"
     with open(path, encoding="utf-8") as f:
-        return [EvalRecord.from_dict(json.loads(line)) for line in f]
+        return [EvalRecord(**json.loads(line)) for line in f]

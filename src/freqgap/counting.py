@@ -2,9 +2,9 @@
 
 Counts are exact: the unigram count of a term is its number of token
 positions; the pair count of {a, b} is the number of unordered position
-pairs (i, j), i < j, lying in one window inside one document; triples
-need the full span inside one window.  Windows never cross document
-boundaries.
+pairs (i, j), i < j, with j - i <= window - 1 inside one document, that
+is, both terms inside one window of `window` tokens; triples need the
+full span inside one window.  Windows never cross document boundaries.
 
 One window loop counts every table: all unigrams, the default pair
 family ((number, number) pairs with both values below 10,000 and all
@@ -12,10 +12,10 @@ family ((number, number) pairs with both values below 10,000 and all
 {x1, u, x1*f} for each time-unit conversion's unit u and factor f,
 1 <= x1 <= 99.  The two numbers of such a triple form a default-family
 pair, so the loop looks triples up only on number pairs it counts.  A
-targeted config (with_targets) runs the same loop, then the selection
-of the unigrams and exactly the targets; a target outside those
-families (a unit-unit pair, say) makes the loop count every pair.
-CountTable.select makes that selection from a counted table.
+targeted config (with_targets) runs the same loop, then keeps the
+unigrams and exactly the targets; a target outside those families is
+rejected when the config is made.  CountTable.select makes the same
+selection from a counted table.
 
 A table file is a `key<TAB>count` TSV sorted by key string plus a
 `.meta.json` sidecar.  write_table is its one writer, combine_metas the
@@ -29,8 +29,6 @@ import json
 import logging
 from collections import defaultdict
 from dataclasses import asdict, dataclass, replace
-from functools import lru_cache
-from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -46,7 +44,11 @@ STRIP_CHARS = ".,;:!?()\"'[]"
 # Default pair family: (number, number) pairs keep both values below this.
 NN_PAIR_MAX = 10_000
 
-DEFAULT_UNIT_LEXICON: tuple[tuple[str, str], ...] = tuple((u, u + "s") for u in UNITS)
+# Unit surface forms, (singular, plural); matched case-folded.
+UNIT_LEXICON: tuple[tuple[str, str], ...] = tuple((u, u + "s") for u in UNITS)
+_FORM_CODES = {
+    form: unit_term(singular) for singular, plural in UNIT_LEXICON for form in (singular, plural)
+}
 
 CONVERSION_TRIPLES: frozenset[tuple[int, ...]] = frozenset(
     term_set((x1, unit_term(unit), y))
@@ -56,10 +58,20 @@ CONVERSION_TRIPLES: frozenset[tuple[int, ...]] = frozenset(
 )
 
 
-def _default_pair(key: tuple[int, ...]) -> bool:
-    """Whether the default pair family holds the sorted pair `key`."""
-    a, b = key
-    return a < UNIT_BASE <= b or b < NN_PAIR_MAX
+# A conversion triple is found from its anchor, its two numbers in sorted
+# order: anchor -> {third (unit) code + 1: triple}.
+_TRIPLE_ANCHORS: dict[tuple[int, ...], dict[int, tuple[int, ...]]] = {}
+for _triple in CONVERSION_TRIPLES:
+    _TRIPLE_ANCHORS.setdefault(_triple[:2], {})[_triple[2] + 1] = _triple
+
+
+def counted(key: tuple[int, ...]) -> bool:
+    """Whether the window loop counts the sorted term set `key`: every
+    unigram, the default pair family and the conversion triples."""
+    if len(key) == 2:
+        a, b = key
+        return a < UNIT_BASE <= b or b < NN_PAIR_MAX
+    return len(key) == 1 or key in CONVERSION_TRIPLES
 
 
 class ConfigDigestMismatch(ValueError):
@@ -70,41 +82,26 @@ class ConfigDigestMismatch(ValueError):
 class CounterConfig:
     """Counting parameters; the digest of these fields keys merge compatibility.
 
-    window_rule selects the co-occurrence span semantics: "span" counts
-    positions i < j with j - i <= window - 1 (both terms inside one
-    contiguous window of `window` tokens); "distance" relaxes this to
-    j - i <= window for sensitivity checks.
+    Two terms co-occur when their positions lie at most window - 1
+    apart.  target_sets, when set, keeps the unigrams and exactly these
+    term sets; each must be one the window loop counts.
     """
 
     window: int = 5
     max_number_digits: int = 6
-    unit_lexicon: tuple[tuple[str, str], ...] = DEFAULT_UNIT_LEXICON
     target_sets: frozenset[tuple[int, ...]] | None = None
-    window_rule: str = "span"
 
     def __post_init__(self) -> None:
         if self.window < 2:
             raise ValueError("window must be >= 2")
         if not 1 <= self.max_number_digits <= 12:
             raise ValueError("max_number_digits must be in 1..12")
-        if self.window_rule not in ("span", "distance"):
-            raise ValueError("window_rule must be 'span' or 'distance'")
-        for singular, _plural in self.unit_lexicon:
-            if singular not in UNITS:
-                raise ValueError(f"unknown unit in lexicon: {singular!r}")
-
-    @property
-    def max_distance(self) -> int:
-        return self.window - 1 if self.window_rule == "span" else self.window
+        outside = sorted(key_str(t) for t in self.target_sets or () if not counted(t))
+        if outside:
+            raise ValueError(f"{len(outside)} targets outside the counted term sets: {outside[0]}")
 
     def with_targets(self, targets: Iterable[tuple[int, ...]]) -> "CounterConfig":
         return replace(self, target_sets=frozenset(term_set(t) for t in targets))
-
-    def counts(self, key: tuple[int, ...]) -> bool:
-        """Whether the window loop counts the term set `key` under this config."""
-        if len(key) == 1 or (self.target_sets is not None and key in self.target_sets):
-            return True
-        return _default_pair(key) if len(key) == 2 else key in CONVERSION_TRIPLES
 
     def digest(self) -> str:
         targets = None
@@ -114,29 +111,14 @@ class CounterConfig:
             canonical_json(
                 {
                     "window": self.window,
-                    "window_rule": self.window_rule,
+                    "window_rule": "span",  # constant; keeps existing tables' digests valid
                     "max_number_digits": self.max_number_digits,
-                    "unit_lexicon": [list(pair) for pair in self.unit_lexicon],
+                    "unit_lexicon": [list(pair) for pair in UNIT_LEXICON],
                     "triple_family": [CONVERSION_MAX_DIGITS, list(CONVERSION_TASKS.values())],
                     "targets": targets,
                 }
             )
         )
-
-
-@lru_cache(maxsize=None)
-def _form_codes(lexicon: tuple[tuple[str, str], ...]) -> dict[str, int]:
-    codes: dict[str, int] = {}
-    for singular, plural in lexicon:
-        code = unit_term(singular)
-        codes[singular.lower()] = code
-        codes[plural.lower()] = code
-    return codes
-
-
-def tokenize(text: str) -> list[tuple[str, int]]:
-    """Whitespace tokenization: maximal non-whitespace runs with 0-based positions."""
-    return [(token, i) for i, token in enumerate(text.split())]
 
 
 def extract_term(token: str, config: CounterConfig) -> int | None:
@@ -153,7 +135,7 @@ def extract_term(token: str, config: CounterConfig) -> int | None:
         if len(stripped) <= config.max_number_digits:
             return int(stripped)
         return None
-    return _form_codes(config.unit_lexicon).get(stripped.lower())
+    return _FORM_CODES.get(stripped.lower())
 
 
 _TERM_FLAG = b"\x01"
@@ -191,9 +173,9 @@ class _SurfaceCache(dict):
 class TermScanner:
     """Single-pass extraction of (token position, term code) from a document.
 
-    Equivalent to running extract_term over tokenize (the test suite
-    asserts this); classification is memoized per surface form and the
-    per-token work happens inside split/map/join/find.
+    Equivalent to running extract_term over the whitespace-split tokens
+    (the test suite asserts this); classification is memoized per
+    surface form and the per-token work happens inside split/map/join/find.
     """
 
     def __init__(self, config: CounterConfig) -> None:
@@ -248,14 +230,9 @@ class CountTable:
 
     def select(self, targeted: CounterConfig) -> "CountTable":
         """The table a count of this table's corpus under `targeted` gives.
-        This table must be counted under `targeted` without targets, and
-        a target it does not count raises instead of reading as 0."""
-        counted = replace(targeted, target_sets=None)
-        if self.meta.config_digest != counted.digest():
+        This table must be counted under `targeted` without targets."""
+        if self.meta.config_digest != replace(targeted, target_sets=None).digest():
             raise ConfigDigestMismatch("table was counted under another configuration")
-        outside = [key_str(t) for t in targeted.target_sets if not counted.counts(t)]
-        if outside:
-            raise ValueError(f"{len(outside)} targets outside the counted term sets: {outside[0]}")
         entries = _select(self.entries, targeted.target_sets)
         return CountTable(entries, replace(self.meta, config_digest=targeted.digest()))
 
@@ -363,16 +340,6 @@ class _ShardAccumulator:
         self.triples: dict[tuple[int, ...], int] = defaultdict(int)
         self.documents = 0
         self.tokens = 0
-        # A triple is found from its anchor, its first two terms in sorted
-        # order: a number pair unless the triple holds two units.  A target
-        # with a pair outside the default family (two units, or a number of
-        # NN_PAIR_MAX or more) needs the wide loop: every pair counted and
-        # looked up.
-        targets = config.target_sets or frozenset()
-        self.anchors: dict = defaultdict(dict)  # anchor -> {third code + 1: triple}
-        for t in CONVERSION_TRIPLES | {t for t in targets if len(t) == 3}:
-            self.anchors[t[:2]][t[2] + 1] = t
-        self.wide = any(not _default_pair(p) for t in targets for p in combinations(t, 2))
 
     def add_document(self, text: str) -> None:
         # Codes in `terms` are shifted by +1 (see _SurfaceCache); all
@@ -383,13 +350,12 @@ class _ShardAccumulator:
         self.tokens += total
         if not terms:
             return
-        maxdist = self.config.max_distance
+        maxdist = self.config.window - 1
         uni = self.uni
         pairs = self.pairs
-        anchors = self.anchors
-        wide = self.wide
+        anchors = _TRIPLE_ANCHORS
         unit_base = UNIT_BASE  # locals, read once per pair
-        nn_max = 2 * UNIT_BASE if wide else NN_PAIR_MAX  # wide: every number pair
+        nn_max = NN_PAIR_MAX
         lo = 0
         for idx, (p, c) in enumerate(terms):
             uni[c] += 1
@@ -403,11 +369,11 @@ class _ShardAccumulator:
             for j in range(lo, idx):
                 d = terms[j][1]
                 if d > unit_base:
-                    if c_unit and not wide:
+                    if c_unit:
                         continue
                 elif not c_unit:
-                    # number pairs are the only anchors unless wide; the
-                    # branches stay apart to keep (number, unit) pairs cheap
+                    # number pairs are the only anchors; the branches stay
+                    # apart to keep (number, unit) pairs cheap
                     if c_small and d <= nn_max:
                         key = (d - 1, c - 1) if d <= c else (c - 1, d - 1)
                         pairs[key] += 1
@@ -417,16 +383,12 @@ class _ShardAccumulator:
                     continue
                 key = (d - 1, c - 1) if d <= c else (c - 1, d - 1)
                 pairs[key] += 1
-                if wide:
-                    thirds = anchors.get(key)
-                    if thirds is not None:
-                        self._add_triples(terms, lo, j, idx, thirds)
 
     def _add_triples(self, terms: list, lo: int, j: int, idx: int, thirds: dict) -> None:
         """Count the triples of anchor (j, idx) and a third term in the
         window.  The third may lie before, between or after the anchor; it
         sorts last by (code, position), which counts each triple once."""
-        maxdist = self.config.max_distance
+        maxdist = self.config.window - 1
         pj, d = terms[j]
         top = max((d, pj), terms[idx][::-1])
         for i3 in range(lo, len(terms)):

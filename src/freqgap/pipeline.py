@@ -16,13 +16,14 @@ from __future__ import annotations
 import json
 import logging
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 from . import __version__
 from .analysis import build_report, write_report
-from .client import EndpointConfig, EvalRecord, MockPolicy, evaluate, load_records, save_records
+from .client import MOCK_KINDS, EndpointConfig, EvalRecord, MockPolicy, evaluate
+from .client import load_records, save_records
 from .corpus import CORPUS_FORMATS, corpus_units, count_corpus
 from .counting import CounterConfig, CountTable
 from .tasks import (
@@ -57,8 +58,8 @@ class PipelineError(RuntimeError):
 @dataclass
 class RunConfig:
     corpus_path: Path
-    corpus_format: str
     out: Path
+    corpus_format: str = "jsonl"
     window: int = 5
     max_number_digits: int = 6
     tasks: tuple[str, ...] = ALL_TASKS
@@ -82,195 +83,158 @@ class RunConfig:
         return sha256_text(canonical_json(self.to_dict()))
 
     def to_dict(self) -> dict:
-        data: dict[str, Any] = {
-            "corpus": {"path": str(self.corpus_path), "format": self.corpus_format},
-            "out": str(self.out),
-            "window": self.window,
-            "max_number_digits": self.max_number_digits,
-            "tasks": list(self.tasks),
-            "ks": list(self.ks),
-            "seeds": self.seeds,
-            "seed": self.seed,
-            "bins": self.bins,
-            "shards": self.shards,
-        }
+        """The config-file form: parse_config(config.to_dict())[0] == config."""
+        data = _object_dict(self, "")
+        data["corpus"] = _object_dict(self, "corpus")
         if self.mock is not None:
-            data["mock"] = _mock_fields(self.mock)
+            data["mock"] = _object_dict(self.mock, "mock")
         if self.endpoint is not None:
-            data["endpoint"] = _endpoint_fields(self.endpoint)
+            data["endpoint"] = _object_dict(self.endpoint, "endpoint")
         return data
 
 
-def _mock_fields(mock: MockPolicy) -> dict:
-    return {"kind": mock.kind, "a": mock.a, "b": mock.b, "seed": mock.seed}
+# ---------------------------------------------------------------------------
+# The config file: one row per field, with its JSON type and its check
 
 
-def _endpoint_fields(ep: EndpointConfig) -> dict:
-    return {
-        "base_url": ep.base_url,
-        "model_name": ep.model_name,
-        "max_new_tokens": ep.max_new_tokens,
-        "max_in_flight": ep.max_in_flight,
-        "max_attempts": ep.max_attempts,
-        "timeout": ep.timeout,
-    }
+def _at_least(low: int) -> Callable[[Any], str | None]:
+    return lambda value: None if value >= low else f"must be >= {low}"
+
+
+def _one_of(choices: Sequence[str]) -> Callable[[Any], str | None]:
+    return lambda value: None if value in choices else f"must be one of {'/'.join(choices)}"
+
+
+def _distinct(ok: Callable[[Any], bool], problem: str) -> Callable[[list], str | None]:
+    """Check of a non-empty list without repeats whose items all pass ok."""
+
+    def check(items: list) -> str | None:
+        bad = [x for x in items if not ok(x)]
+        if bad or not items:
+            return problem.format(bad) if bad else "must not be empty"
+        return "must not repeat an entry" if len(set(items)) < len(items) else None
+
+    return check
+
+
+# The JSON types a field of each type accepts; JSON true is not an int.
+_JSON_TYPES = {int: (int,), float: (int, float), str: (str,), Path: (str,), tuple: (list,)}
+
+
+class _Field(NamedTuple):
+    """A config-file field; a dotted key sits in a nested object.  Left
+    out, it takes the default of the attribute it sets; an attribute
+    without one makes it required."""
+
+    key: str
+    kind: type
+    check: Callable[[Any], str | None] | None = None
+
+    @property
+    def section(self) -> str:
+        return self.key.rpartition(".")[0]
+
+    @property
+    def attr(self) -> str:
+        """corpus.path sets RunConfig.corpus_path; mock.a sets MockPolicy.a."""
+        name = self.key.rpartition(".")[2]
+        return "corpus_" + name if self.section == "corpus" else name
+
+    def problem(self, value: Any) -> str | None:
+        types = _JSON_TYPES[self.kind]
+        if type(value) not in types:
+            return "expected " + "/".join(t.__name__ for t in types)
+        return None if self.check is None else self.check(value)
+
+
+CONFIG_FIELDS = (
+    _Field("corpus.path", Path),
+    _Field("corpus.format", str, _one_of(CORPUS_FORMATS)),
+    _Field("out", Path),
+    _Field("window", int, _at_least(2)),
+    _Field("max_number_digits", int, lambda n: None if 1 <= n <= 12 else "must be in 1..12"),
+    _Field("tasks", tuple, _distinct(lambda t: t in ALL_TASKS, "unknown task ids {}")),
+    _Field("ks", tuple, _distinct(lambda k: type(k) is int and k >= 0, "invalid shot counts {}")),
+    _Field("seeds", int, _at_least(1)),
+    _Field("seed", int),
+    _Field("bins", int, _at_least(2)),
+    _Field("shards", int, _at_least(1)),
+    _Field("mock.kind", str, _one_of(MOCK_KINDS)),
+    _Field("mock.a", float),
+    _Field("mock.b", float),
+    _Field("mock.seed", int),
+    _Field("endpoint.base_url", str),
+    _Field("endpoint.model_name", str),
+    _Field("endpoint.max_new_tokens", int, _at_least(1)),
+    _Field("endpoint.max_in_flight", int, _at_least(1)),
+    _Field("endpoint.max_attempts", int, _at_least(1)),
+    _Field("endpoint.timeout", float),
+    _Field("endpoint.completions_path", str),
+)
+_SECTION_TYPES = {
+    "": RunConfig, "corpus": RunConfig, "mock": MockPolicy, "endpoint": EndpointConfig
+}
+
+
+def _object_dict(obj: Any, section: str) -> dict:
+    """The config-file object of one section, read from obj's attributes."""
+    data = {}
+    for row in CONFIG_FIELDS:
+        if row.section == section:
+            value = getattr(obj, row.attr)
+            data[row.key.rpartition(".")[2]] = (
+                str(value) if row.kind is Path else list(value) if row.kind is tuple else value
+            )
+    return data
 
 
 def scorer_digest(mock: MockPolicy | None, endpoint: EndpointConfig | None) -> str:
     """Fingerprint of the scorer's settings, for the eval journal rule."""
-    fields = _mock_fields(mock) if mock is not None else _endpoint_fields(endpoint)
+    fields = _object_dict(mock, "mock") if mock is not None else _object_dict(endpoint, "endpoint")
     return sha256_text(canonical_json(fields))
-
-
-def _check_fields(
-    obj: dict, allowed: dict[str, type | tuple[type, ...]], prefix: str, diags: list[str]
-) -> None:
-    for name in obj:
-        if name not in allowed:
-            diags.append(f"{prefix}{name}: unknown field")
-    for name, types in allowed.items():
-        if name in obj and not isinstance(obj[name], types):
-            type_names = types.__name__ if isinstance(types, type) else "/".join(
-                t.__name__ for t in types
-            )
-            diags.append(f"{prefix}{name}: expected {type_names}")
 
 
 def parse_config(data: dict) -> tuple[RunConfig, list[str]]:
     """Validated RunConfig plus warnings; raises ConfigError with one
     diagnostic per problem."""
     diags: list[str] = []
-    warnings: list[str] = []
-    _check_fields(
-        data,
-        {
-            "corpus": dict,
-            "out": str,
-            "window": int,
-            "max_number_digits": int,
-            "tasks": list,
-            "ks": list,
-            "seeds": int,
-            "seed": int,
-            "bins": int,
-            "shards": int,
-            "mock": dict,
-            "endpoint": dict,
-        },
-        "",
-        diags,
-    )
-
-    corpus = data.get("corpus")
-    if not isinstance(corpus, dict):
-        diags.append("corpus: required object with path and format")
-        corpus = {}
-    _check_fields(corpus, {"path": str, "format": str}, "corpus.", diags)
-    if "path" not in corpus:
-        diags.append("corpus.path: required")
-    fmt = corpus.get("format", "jsonl")
-    if fmt not in CORPUS_FORMATS:
-        diags.append(f"corpus.format: must be one of {'/'.join(CORPUS_FORMATS)}")
-    if not isinstance(data.get("out"), str):
-        diags.append("out: required string")
-
-    window = data.get("window", 5)
-    if isinstance(window, int) and window < 2:
-        diags.append("window: must be >= 2")
-    digits = data.get("max_number_digits", 6)
-    if isinstance(digits, int) and not 1 <= digits <= 12:
-        diags.append("max_number_digits: must be in 1..12")
-
-    tasks = data.get("tasks", list(ALL_TASKS))
-    if isinstance(tasks, list):
-        unknown = [t for t in tasks if t not in ALL_TASKS]
-        if unknown:
-            diags.append(f"tasks: unknown task ids {unknown}")
-        if not tasks:
-            diags.append("tasks: must not be empty")
-
-    ks = data.get("ks", list(STANDARD_KS))
-    if isinstance(ks, list):
-        if not ks or not all(isinstance(k, int) and k >= 0 for k in ks):
-            diags.append("ks: must be a non-empty list of non-negative integers")
-        elif not set(ks) <= set(STANDARD_KS):
-            warnings.append(
-                f"ks: {sorted(set(ks) - set(STANDARD_KS))} departs from the "
-                f"standard shot counts {list(STANDARD_KS)}"
-            )
-
-    seeds = data.get("seeds", 5)
-    if isinstance(seeds, int) and seeds < 1:
-        diags.append("seeds: must be >= 1")
-    bins = data.get("bins", 10)
-    if isinstance(bins, int) and bins < 2:
-        diags.append("bins: must be >= 2")
-    shards = data.get("shards", 1)
-    if isinstance(shards, int) and shards < 1:
-        diags.append("shards: must be >= 1")
-
-    mock_data = data.get("mock")
-    endpoint_data = data.get("endpoint")
-    if (mock_data is None) == (endpoint_data is None):
+    given: dict[str, Any] = {}  # dotted key -> JSON value
+    for name, value in data.items():
+        if name in ("corpus", "mock", "endpoint"):
+            if isinstance(value, dict):
+                given.update((f"{name}.{k}", v) for k, v in value.items())
+            else:
+                diags.append(f"{name}: expected object")
+        else:
+            given[name] = value
+    if ("mock" in data) == ("endpoint" in data):
         diags.append("exactly one of mock or endpoint is required")
 
-    mock = None
-    if isinstance(mock_data, dict):
-        _check_fields(
-            mock_data,
-            {"kind": str, "a": (int, float), "b": (int, float), "seed": int},
-            "mock.",
-            diags,
-        )
-        try:
-            mock = MockPolicy(
-                kind=mock_data.get("kind", ""),
-                a=float(mock_data.get("a", 0.0)),
-                b=float(mock_data.get("b", 0.0)),
-                seed=mock_data.get("seed", 0),
-            )
-        except (ValueError, TypeError) as exc:
-            diags.append(f"mock.kind: {exc}")
-
-    endpoint = None
-    if isinstance(endpoint_data, dict):
-        _check_fields(
-            endpoint_data,
-            {
-                "base_url": str,
-                "model_name": str,
-                "max_new_tokens": int,
-                "max_in_flight": int,
-                "max_attempts": int,
-                "timeout": (int, float),
-                "completions_path": str,
-            },
-            "endpoint.",
-            diags,
-        )
-        for required in ("base_url", "model_name"):
-            if required not in endpoint_data:
-                diags.append(f"endpoint.{required}: required")
-        if not diags:
-            endpoint = EndpointConfig(**endpoint_data)
-
+    rows = {row.key: row for row in CONFIG_FIELDS}
+    diags.extend(f"{key}: unknown field" for key in given if key not in rows)
+    values: dict[str, dict[str, Any]] = {section: {} for section in _SECTION_TYPES}
+    for row in CONFIG_FIELDS:
+        if row.key in given:
+            problem = row.problem(given[row.key])
+            if problem is None:
+                values[row.section][row.attr] = row.kind(given[row.key])
+            else:
+                diags.append(f"{row.key}: {problem}")
+        elif row.section in ("", "corpus") or isinstance(data.get(row.section), dict):
+            if _SECTION_TYPES[row.section].__dataclass_fields__[row.attr].default is MISSING:
+                diags.append(f"{row.key}: required")
     if diags:
         raise ConfigError(diags)
-    config = RunConfig(
-        corpus_path=Path(corpus["path"]),
-        corpus_format=fmt,
-        out=Path(data["out"]),
-        window=window,
-        max_number_digits=digits,
-        tasks=tuple(tasks),
-        ks=tuple(ks),
-        seeds=seeds,
-        seed=data.get("seed", 0),
-        bins=bins,
-        shards=shards,
-        mock=mock,
-        endpoint=endpoint,
-    )
+
+    mock = MockPolicy(**values["mock"]) if "mock" in data else None
+    endpoint = EndpointConfig(**values["endpoint"]) if "endpoint" in data else None
+    config = RunConfig(**values[""], **values["corpus"], mock=mock, endpoint=endpoint)
+    warnings = []
+    if not set(config.ks) <= set(STANDARD_KS):
+        warnings.append(
+            f"ks: {sorted(set(config.ks) - set(STANDARD_KS))} departs from the "
+            f"standard shot counts {list(STANDARD_KS)}"
+        )
     return config, warnings
 
 

@@ -42,13 +42,6 @@ CONVERSION_MAX_DIGITS = 2
 _UNIT_INDEX = {name: i for i, name in enumerate(UNITS)}
 
 
-def number_term(value: int) -> int:
-    """Code for a non-negative integer term."""
-    if not 0 <= value < UNIT_BASE:
-        raise ValueError(f"number term out of range: {value}")
-    return value
-
-
 def unit_term(name: str) -> int:
     """Code for a time-unit term, given its singular form."""
     try:
@@ -57,22 +50,11 @@ def unit_term(name: str) -> int:
         raise ValueError(f"unknown time unit: {name!r}") from None
 
 
-def is_unit(code: int) -> bool:
-    return code >= UNIT_BASE
-
-
 def term_value(code: int) -> int:
     """Integer value of a number term."""
     if code >= UNIT_BASE:
         raise ValueError("not a number term")
     return code
-
-
-def unit_name(code: int) -> str:
-    """Singular form of a unit term."""
-    if code < UNIT_BASE:
-        raise ValueError("not a unit term")
-    return UNITS[code - UNIT_BASE]
 
 
 def term_str(code: int) -> str:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 
-from freqgap.counting import NN_PAIR_MAX, CounterConfig, extract_term, tokenize
+from freqgap.counting import NN_PAIR_MAX, CounterConfig, extract_term
 from freqgap.terms import CONVERSION_TASKS, UNIT_BASE, unit_term
 
 # {x1, unit, factor} and {x1, unit, x1 * factor}, 1 <= x1 <= 99
@@ -21,17 +21,28 @@ FAMILY_TRIPLES = {
 }
 
 
+def tokenize(text: str) -> list[tuple[str, int]]:
+    """Whitespace tokenization: maximal non-whitespace runs with 0-based positions."""
+    return [(token, i) for i, token in enumerate(text.split())]
+
+
+def in_default_families(key: tuple[int, ...]) -> bool:
+    """Whether the default pass counts the sorted term set `key`: every
+    unigram, (number, unit) pairs, number pairs below NN_PAIR_MAX and
+    FAMILY_TRIPLES."""
+    if len(key) == 3:
+        return key in FAMILY_TRIPLES
+    units = sum(code >= UNIT_BASE for code in key)
+    return len(key) == 1 or units == 1 or (units == 0 and max(key) < NN_PAIR_MAX)
+
+
 def oracle_count(documents, config: CounterConfig) -> dict[tuple[int, ...], int]:
     """Exact counts by direct enumeration of in-window position tuples.
 
-    The default pass counts the default pair family and FAMILY_TRIPLES;
-    a targeted pass counts exactly its targets (plus unigrams)."""
-    maxdist = config.max_distance
-    pair_targets = None
-    triple_targets = FAMILY_TRIPLES
-    if config.target_sets is not None:
-        pair_targets = {t for t in config.target_sets if len(t) == 2}
-        triple_targets = {t for t in config.target_sets if len(t) == 3}
+    The default pass counts the default families; a targeted pass counts
+    exactly its targets (plus unigrams)."""
+    maxdist = config.window - 1
+    wanted = in_default_families if config.target_sets is None else config.target_sets.__contains__
     counts: dict[tuple[int, ...], int] = {}
 
     def bump(key: tuple[int, ...]) -> None:
@@ -50,23 +61,14 @@ def oracle_count(documents, config: CounterConfig) -> dict[tuple[int, ...], int]
                 if pb - pa > maxdist:
                     break
                 pair = tuple(sorted((ca, cb)))
-                if pair_targets is None:
-                    a_unit = ca >= UNIT_BASE
-                    b_unit = cb >= UNIT_BASE
-                    if a_unit and b_unit:
-                        pass
-                    elif a_unit or b_unit:
-                        bump(pair)
-                    elif ca < NN_PAIR_MAX and cb < NN_PAIR_MAX:
-                        bump(pair)
-                elif pair in pair_targets:
+                if wanted(pair):
                     bump(pair)
                 for c in range(b + 1, len(terms)):
                     pc, cc = terms[c]
                     if pc - pa > maxdist:
                         break
                     triple = tuple(sorted((ca, cb, cc)))
-                    if triple in triple_targets:
+                    if wanted(triple):
                         bump(triple)
     return counts
 

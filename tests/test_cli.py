@@ -154,6 +154,28 @@ def test_bad_config_exits_1(tmp_path):
     assert main(["run", "--config", str(path)]) == 1
 
 
+def test_unusable_endpoint_value_exits_1(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "corpus": {"path": "/x"},
+        "out": str(tmp_path / "run"),
+        "endpoint": {"base_url": "http://x", "model_name": "m", "max_in_flight": 0},
+    }))
+    assert main(["run", "--config", str(path)]) == 1
+    assert "endpoint.max_in_flight: must be >= 1" in capsys.readouterr().err
+
+
+def test_count_rejects_targets_outside_the_counted_families(workspace, tmp_path, capsys):
+    targets = tmp_path / "targets.txt"
+    targets.write_text("u:hour|u:day\n")
+    assert main([
+        "count", "--corpus", str(workspace / "corpus" / "demo.jsonl"),
+        "--out", str(tmp_path / "counts"), "--targets", str(targets),
+    ]) == 1
+    assert "1 targets outside the counted term sets: u:hour|u:day" in capsys.readouterr().err
+    assert not (tmp_path / "counts").exists()
+
+
 def test_stage_failure_exits_2(tmp_path):
     assert main([
         "count", "--corpus", str(tmp_path / "missing"), "--format", "jsonl",

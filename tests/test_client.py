@@ -18,7 +18,6 @@ from freqgap.client import (
     logistic_accuracy,
     mock_generate,
     primary_term_set,
-    rescore,
     save_records,
     score,
     sigmoid,
@@ -62,15 +61,6 @@ def test_score():
 def test_apply_stop_sequences():
     assert apply_stop_sequences(" 42\nQ: What", ("\n", "Q:")) == " 42"
     assert apply_stop_sequences(" 42 Q: next", ("\n", "Q:")) == " 42 "
-
-
-def test_rescore_reproduces_correctness():
-    bundles = _bundles(20)
-    records = evaluate(bundles, mock=MockPolicy("perfect"))
-    gold = {b.test_instance.instance_id: b.gold for b in bundles}
-    again = rescore(records, gold)
-    assert [r.correct for r in again] == [r.correct for r in records]
-    assert all(r.correct for r in again)
 
 
 # --- mock policies --------------------------------------------------------

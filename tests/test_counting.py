@@ -17,11 +17,10 @@ from freqgap.counting import (
     count_shard,
     extract_term,
     merge,
-    tokenize,
     top_numbers,
 )
 from freqgap.terms import term_set, unit_term
-from helpers import oracle_count, random_corpus
+from helpers import FAMILY_TRIPLES, in_default_families, oracle_count, random_corpus, tokenize
 
 CFG = CounterConfig()
 
@@ -134,12 +133,6 @@ def test_window_bounds_pairs():
     assert table.query((1, 2)) == 1
 
 
-def test_distance_window_rule():
-    cfg = CounterConfig(window_rule="distance")
-    table = count_shard(["1 x x x x 2"], cfg)
-    assert table.query((1, 2)) == 1
-
-
 def test_windows_do_not_cross_documents():
     table = count_shard(["1 2", "3 4"], CFG)
     assert table.query((1, 2)) == 1
@@ -160,21 +153,23 @@ def test_default_families():
 
 
 def test_targeted_pass_emits_only_targets_and_unigrams():
-    targets = [term_set((1, 2)), term_set((1, 2, 3))]
-    cfg = CFG.with_targets(targets)
-    table = count_shard(["1 2 3 4"], cfg)
-    assert table.query((1, 2)) == 1
-    assert table.query((1, 2, 3)) == 1
-    assert table.query((2, 3)) == 0  # in window but not targeted
+    hour = unit_term("hour")
+    cfg = CFG.with_targets([term_set((3, 180)), term_set((3, 180, hour))])
+    table = count_shard(["3 hours 180 4"], cfg)
+    assert table.query((3, 180)) == 1
+    assert table.query((3, 180, hour)) == 1
+    assert table.query((180, 4)) == 0  # in window but not targeted
+    assert table.query((3, hour)) == 0
     assert table.query((4,)) == 1  # unigrams always emitted
 
 
 def test_triple_span_rule():
-    cfg = CFG.with_targets([term_set((1, 2, 3))])
-    table = count_shard(["1 x x 2 3"], cfg)  # span 0..4 == window
-    assert table.query((1, 2, 3)) == 1
-    table = count_shard(["1 x x x 2 3"], cfg)  # span 5 > 4
-    assert table.query((1, 2, 3)) == 0
+    minute = unit_term("minute")
+    cfg = CFG.with_targets([term_set((5, 60, minute))])
+    table = count_shard(["5 x x 60 minutes"], cfg)  # span 0..4 == window
+    assert table.query((5, 60, minute)) == 1
+    table = count_shard(["5 x x x 60 minutes"], cfg)  # span 5 > 4
+    assert table.query((5, 60, minute)) == 0
 
 
 # --- the conversion-triple family and the selection ---------------------
@@ -201,13 +196,12 @@ def test_conversion_triple_counted_once_in_any_order(order):
 
 
 def test_repeated_terms_count_each_position_triple_once():
-    # targets with repeated terms: C(4, 3) position triples of four 7s,
-    # and (5, hour, hour) needs the wide loop (unit-unit sub-pair)
-    hour = unit_term("hour")
-    cfg = CFG.with_targets([(7, 7, 7), (5, hour, hour)])
-    assert count_shard(["7 7 7 7"], cfg).query((7, 7, 7)) == 4
-    assert count_shard(["hours 5 hours hours"], cfg).query((5, hour, hour)) == 3
-    assert count_shard(["60 60 minutes"], CFG).query((60, 60, unit_term("minute"))) == 1
+    # C(3, 2) position pairs of three 60s, each with the one unit
+    minute = unit_term("minute")
+    cfg = CFG.with_targets([(60, 60, minute)])
+    assert count_shard(["60 60 60 minutes"], cfg).query((60, 60, minute)) == 3
+    assert count_shard(["60 60 minutes"], CFG).query((60, 60, minute)) == 1
+    assert count_shard(["7 7 7 7"], CFG).query((7, 7)) == 6
 
 
 def test_counter_digest_names_the_triple_family(monkeypatch):
@@ -240,13 +234,17 @@ def test_targeted_count_equals_oracle_for_any_targets(seed, window, targets):
     docs = random_corpus(rng, rng.randrange(1, 10))
     docs += ["60 minutes 5 hours 300 seconds", "7 weeks 49 days 7 7"]
     default = CounterConfig(window=window)
-    cfg = default.with_targets(targets)
+    keys = {term_set(t) for t in targets}
+    countable = {key for key in keys if in_default_families(key)}
+    if countable != keys:
+        with pytest.raises(ValueError, match="outside the counted term sets"):
+            default.with_targets(keys)
+    cfg = default.with_targets(countable)
     table = count_shard(docs, cfg)
     assert table.entries == oracle_count(docs, cfg)
-    if all(default.counts(t) for t in cfg.target_sets):
-        selected = count_shard(docs, default).select(cfg)
-        assert selected.entries == table.entries
-        assert selected.meta == table.meta
+    selected = count_shard(docs, default).select(cfg)
+    assert selected.entries == table.entries
+    assert selected.meta == table.meta
 
 
 def test_selection_raises_for_a_target_outside_the_counted_families():
@@ -362,12 +360,12 @@ def test_top_numbers_cooccur_with_unit():
 # --- oracle equivalence and invariants ----------------------------------
 
 
-@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 5, 8]), st.sampled_from(["span", "distance"]))
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 5, 8]))
 @settings(max_examples=40, deadline=None)
-def test_oracle_equivalence_default_pass(seed, window, rule):
+def test_oracle_equivalence_default_pass(seed, window):
     rng = random.Random(seed)
     docs = random_corpus(rng, rng.randrange(1, 12))
-    cfg = CounterConfig(window=window, window_rule=rule)
+    cfg = CounterConfig(window=window)
     assert count_shard(docs, cfg).entries == oracle_count(docs, cfg)
 
 
@@ -377,7 +375,9 @@ def test_oracle_equivalence_targeted_pass(seed, window):
     rng = random.Random(seed)
     docs = random_corpus(rng, rng.randrange(1, 10))
     values = [rng.randrange(0, 120) for _ in range(6)] + [unit_term("hour"), unit_term("year")]
-    targets = {term_set(rng.sample(values, rng.choice([2, 3]))) for _ in range(12)}
+    pairs = {term_set(rng.sample(values, 2)) for _ in range(12)}
+    small_triples = sorted(t for t in FAMILY_TRIPLES if t[1] < 120)
+    targets = {t for t in pairs if in_default_families(t)} | set(rng.sample(small_triples, 12))
     cfg = CounterConfig(window=window).with_targets(targets)
     assert count_shard(docs, cfg).entries == oracle_count(docs, cfg)
 
@@ -396,12 +396,12 @@ def test_adding_documents_never_decreases_counts(seed):
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=25, deadline=None)
 def test_pair_count_bound(seed):
-    # each occurrence of a term pairs with at most 2 * max_distance
+    # each occurrence of a term pairs with at most 2 * (window - 1)
     # occurrences of another within the window
     rng = random.Random(seed)
     docs = random_corpus(rng, 6)
     table = count_shard(docs, CFG)
-    bound = 2 * CFG.max_distance
+    bound = 2 * (CFG.window - 1)
     for key, count in table.entries.items():
         if len(key) == 2:
             a, b = key

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import shutil
@@ -15,6 +16,7 @@ from freqgap.pipeline import (
     _corpus_signature,
     parse_config,
     run_pipeline,
+    scorer_digest,
     validate_config,
 )
 from freqgap.tasks import load_targets
@@ -99,6 +101,62 @@ def test_validate_config_reads_file(tmp_path):
     bad.write_text("[1, 2]")
     with pytest.raises(ConfigError):
         validate_config(bad)
+
+
+ENDPOINT = {"base_url": "http://x", "model_name": "m"}
+
+
+def _endpoint_config(**endpoint):
+    data = _config(endpoint={**ENDPOINT, **endpoint})
+    del data["mock"]
+    return data
+
+
+@pytest.mark.parametrize(
+    "data, diagnostic",
+    [
+        (_endpoint_config(max_in_flight=0), "endpoint.max_in_flight: must be >= 1"),
+        (_endpoint_config(max_attempts=0), "endpoint.max_attempts: must be >= 1"),
+        (_config(seeds=True), "seeds: expected int"),
+        (_config(ks=[True, 2]), "ks: invalid shot counts [True]"),
+        (_config(tasks=["mult", "add", "mult"]), "tasks: must not repeat an entry"),
+        (_config(ks=[0, 2, 0]), "ks: must not repeat an entry"),
+    ],
+)
+def test_values_the_runner_cannot_use_are_one_diagnostic_each(data, diagnostic):
+    with pytest.raises(ConfigError) as err:
+        parse_config(data)
+    assert err.value.diagnostics == [diagnostic]
+
+
+def test_completions_path_enters_the_config_and_scorer_digests():
+    a, _ = parse_config(_endpoint_config(completions_path="/v1/completions"))
+    b, _ = parse_config(_endpoint_config(completions_path="/v1/chat/completions"))
+    assert a.digest() != b.digest()
+    assert scorer_digest(None, a.endpoint) != scorer_digest(None, b.endpoint)
+
+
+def test_to_dict_is_the_config_file_layout():
+    mock = _config(
+        corpus={"path": "/data/c.jsonl", "format": "text"}, window=7, max_number_digits=5,
+        tasks=["mult", "add"], ks=[0, 2], seeds=3, seed=9, bins=4, shards=2,
+        mock={"kind": "freq_logistic", "a": 1.5, "b": -3.0, "seed": 6},
+    )
+    endpoint = _endpoint_config(max_in_flight=2, timeout=5.0, completions_path="/v2/complete")
+    for data in (mock, endpoint, _config()):
+        config, _ = parse_config(data)
+        assert parse_config(config.to_dict())[0] == config
+    assert parse_config(mock)[0].to_dict() == mock
+
+
+def test_mock_config_digest_is_pinned():
+    # a change here re-runs every mock run directory from its first stage
+    config, _ = parse_config({
+        "corpus": {"path": "/data/corpus.jsonl", "format": "jsonl"},
+        "out": "/runs/a",
+        "mock": {"kind": "freq_logistic", "a": 1, "b": -3, "seed": 6},
+    })
+    assert config.digest() == "15083d4232408fb8170998bf04e4d202510747d234c25c6eaf294a25f099f59d"
 
 
 # --- pipeline runs -----------------------------------------------------------
@@ -332,3 +390,47 @@ def test_analyze_uses_eval_records_and_reads_the_file_only_when_eval_is_skipped(
         "count_pass1", "gen", "targets", "count_pass2", "prompts", "eval", "analyze",
     }
     assert (out / "report" / "report.json").read_bytes() == fresh
+
+
+def test_a_kill_at_any_commit_resumes_to_the_clean_run(tmp_path, monkeypatch):
+    # Every atomic commit of a run (os.replace in util.atomic_open) fails
+    # in turn; re-running must then finish the run as a clean run does.
+    corpus = generate_demo_corpus(tmp_path / "corpus", size_mb=0.25, seed=0)
+    config = _run_config(
+        corpus, tmp_path / "clean", mock="freq_logistic:1,-3,6",
+        tasks=("hour_min", "day_hour", "week_day"), ks=(0, 2), seeds=1,
+    )
+    run_pipeline(config)
+    outputs = ["report/report.json", "records/records.jsonl", "counts/pass2/counts.tsv"]
+    clean = {rel: (config.out / rel).read_bytes() for rel in outputs}
+    real_replace = os.replace
+    commits = []
+
+    def killed_at(n):
+        def replace(src, dst):
+            commits.append(dst)
+            if len(commits) > n:
+                raise RuntimeError("killed")
+            real_replace(src, dst)
+
+        return replace
+
+    killed = dataclasses.replace(config, out=tmp_path / "killed")
+    n = 0
+    while True:
+        commits.clear()
+        monkeypatch.setattr(os, "replace", killed_at(n))
+        try:
+            run_pipeline(killed)
+        except RuntimeError:
+            pass
+        else:
+            break  # n is past the run's last commit
+        finally:
+            monkeypatch.setattr(os, "replace", real_replace)
+        run_pipeline(killed)
+        assert {rel: (killed.out / rel).read_bytes() for rel in outputs} == clean, n
+        assert list(killed.out.rglob("*.tmp")) == [], n
+        shutil.rmtree(killed.out)
+        n += 1
+    assert n == len(commits) > 50

@@ -5,15 +5,12 @@ from hypothesis import strategies as st
 from freqgap.terms import (
     UNIT_BASE,
     UNITS,
-    is_unit,
     key_str,
-    number_term,
     parse_key,
     parse_term,
     term_set,
     term_str,
     term_value,
-    unit_name,
     unit_term,
 )
 
@@ -23,16 +20,14 @@ codes = st.one_of(numbers, units.map(unit_term))
 
 
 def test_number_codes_are_values():
-    assert number_term(23) == 23
+    assert parse_term("23") == 23
     assert term_value(23) == 23
-    assert not is_unit(23)
 
 
 def test_unit_codes_follow_lexicon_order():
     assert unit_term("second") == UNIT_BASE
     assert unit_term("decade") == UNIT_BASE + len(UNITS) - 1
-    assert unit_name(unit_term("hour")) == "hour"
-    assert is_unit(unit_term("hour"))
+    assert term_str(unit_term("hour")) == "u:hour"
 
 
 def test_unknown_unit_rejected():
@@ -42,9 +37,11 @@ def test_unknown_unit_rejected():
 
 def test_number_range_enforced():
     with pytest.raises(ValueError):
-        number_term(-1)
+        parse_term("-1")
     with pytest.raises(ValueError):
-        number_term(UNIT_BASE)
+        parse_term(str(UNIT_BASE))
+    with pytest.raises(ValueError):
+        term_value(UNIT_BASE)
 
 
 def test_canonical_order_numbers_before_units():
