@@ -24,16 +24,13 @@ one combination of provenance, merge_sorted_count_files the one merge.
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 import json
 import logging
-import os
 from collections import defaultdict
 from dataclasses import asdict, dataclass, replace
-from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .terms import CONVERSION_MAX_DIGITS, CONVERSION_TASKS, UNIT_BASE, UNITS, key_str
 from .terms import parse_key, term_set, unit_term
@@ -173,101 +170,20 @@ class _SurfaceCache(dict):
         return flag
 
 
-_SCAN_SOURCE = Path(__file__).with_name("_scan.c")
-
-
-@lru_cache(maxsize=None)
-def _scan_library():
-    """freqgap_scan of _scan.c, set up with the unit lexicon.  The library
-    is compiled on first use into the package's __pycache__, under a name
-    keyed by the source's hash and the machine type.  None where ctypes,
-    a C compiler or a writable package directory is missing."""
-    import platform
-    import shlex
-    import subprocess
-
-    try:
-        import ctypes
-
-        source = _SCAN_SOURCE.read_bytes()
-        tag = hashlib.sha256(source).hexdigest()[:16]
-        path = _SCAN_SOURCE.parent / "__pycache__" / f"_scan-{tag}-{platform.machine()}.so"
-        if not path.exists():
-            path.parent.mkdir(exist_ok=True)
-            tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-            try:
-                cc = shlex.split(os.environ.get("CC", "cc"))
-                subprocess.run(
-                    [*cc, "-O2", "-shared", "-fPIC", "-o", str(tmp), str(_SCAN_SOURCE)],
-                    check=True, capture_output=True, timeout=120,
-                )
-                os.replace(tmp, path)
-            finally:
-                tmp.unlink(missing_ok=True)
-        lib = ctypes.CDLL(str(path))
-    except (ImportError, OSError, subprocess.SubprocessError) as exc:
-        log.debug("compiled term scan unavailable, scanning in Python: %s", exc)
-        return None
-    i64 = ctypes.c_int64
-    forms = [form.encode("ascii") for form in _FORM_CODES]
-    width = max(map(len, forms))
-    status = lib.freqgap_set_units(
-        b"".join(form.ljust(width, b"\0") for form in forms),
-        (i64 * len(forms))(*map(len, forms)),
-        (i64 * len(forms))(*_FORM_CODES.values()),
-        i64(len(forms)),
-        i64(width),
-    )
-    if status != 0:
-        raise ValueError("unit lexicon does not fit the compiled term scan")
-    scan = lib.freqgap_scan
-    scan.restype = i64
-    scan.argtypes = [ctypes.c_int, ctypes.c_char_p, i64, ctypes.POINTER(i64)]
-    return scan
-
-
-def _compiled_scan(max_digits: int) -> Callable[[bytes], tuple[list, int]] | None:
-    """The compiled scan of one ASCII document, or None (see _scan_library)."""
-    scan = _scan_library()
-    if scan is None:
-        return None
-    import ctypes
-
-    i64 = ctypes.c_int64
-    standing = (i64 * (1 << 16))()  # reused for documents below 64 KB
-
-    def scan_ascii(data: bytes) -> tuple[list, int]:
-        n = len(data)
-        out = standing if n + 2 <= len(standing) else (i64 * (n + 2))()
-        k = scan(max_digits, data, n, out)
-        return list(zip(out[0 : 2 * k : 2], out[1 : 2 * k : 2])), out[2 * k]
-
-    return scan_ascii
-
-
 class TermScanner:
     """Single-pass extraction of (token position, term code) from a document.
 
     Equivalent to running extract_term over the whitespace-split tokens
-    (the test suite asserts this).  ASCII documents go through the
-    compiled scan of _scan.c where it builds; other documents, or every
-    document without it, through _scan_python, which memoizes the
-    classification per surface form and does the per-token work inside
-    split/map/join/find.
+    (the test suite asserts this); classification is memoized per
+    surface form and the per-token work happens inside split/map/join/find.
     """
 
     def __init__(self, config: CounterConfig) -> None:
         self._cache = _SurfaceCache(config)
-        self._compiled = _compiled_scan(config.max_number_digits)
 
     def scan_shifted(self, text: str) -> tuple[list[tuple[int, int]], int]:
         """Return ([(position, code + 1), ...], total token count) for one
         document; codes stay shifted by +1 for the counting hot path."""
-        if self._compiled is not None and text.isascii():
-            return self._compiled(text.encode("ascii"))
-        return self._scan_python(text)
-
-    def _scan_python(self, text: str) -> tuple[list[tuple[int, int]], int]:
         cache = self._cache
         if len(cache) >= cache._CAP:
             cache.clear()

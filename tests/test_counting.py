@@ -1,8 +1,5 @@
 import itertools
-import os
 import random
-import shlex
-import shutil
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +13,6 @@ from freqgap.counting import (
     CounterConfig,
     CountTable,
     TermScanner,
-    _scan_library,
     _SurfaceCache,
     count_shard,
     extract_term,
@@ -93,56 +89,13 @@ def test_scanner_matches_reference_extraction(text):
     assert total == len(tokenize(text))
 
 
-# ASCII documents take the compiled scan; these pieces probe its edges:
-# strip characters, digit limits, letter case, every ASCII whitespace
-# byte str.split() knows and a NUL, which is none of them.
-_ASCII_PIECES = [
-    "5", "05", "0007", "123456", "1234567", "hour", "Hours", "HOURS.", "(day)",
-    "days'", "weeks", "decade", "yEaRs", "x", ".", "...", "[7]", "7.5", "60s",
-    "s", "minute,", "second!", "month?", "99,", "'3'", "a1", "houra", "hourss",
-    '"year"', ":", "12:30", "\x00", "é",
-]
-_ASCII_GAPS = [" ", "  ", "\t", "\n", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", ""]
-
-
-@given(
-    st.lists(st.tuples(st.sampled_from(_ASCII_PIECES), st.sampled_from(_ASCII_GAPS)), max_size=30),
-    st.sampled_from(_ASCII_GAPS),
-    st.sampled_from([CFG, CounterConfig(max_number_digits=3)]),
-)
-def test_compiled_and_python_scans_match_reference_extraction(pieces, lead, config):
-    text = lead + "".join(piece + gap for piece, gap in pieces)
-    expected = [
-        (pos, code + 1)
-        for token, pos in tokenize(text)
-        if (code := extract_term(token, config)) is not None
-    ]
-    scanner = TermScanner(config)
-    assert scanner.scan_shifted(text) == (expected, len(tokenize(text)))
-    assert scanner._scan_python(text) == (expected, len(tokenize(text)))
-
-
-def test_compiled_scan_of_a_document_past_the_standing_buffer():
-    text = "x " * 40_000 + "7 HOURS, (12)"
-    scanner = TermScanner(CFG)
-    assert scanner.scan_shifted(text) == scanner._scan_python(text)
-    assert scanner.scan_shifted(text)[0][-1] == (40_002, 13)
-
-
-def test_compiled_scan_builds_where_a_c_compiler_is_present():
-    # without it every document is scanned in Python: the same terms,
-    # about 3.5 times slower
-    compiler = shutil.which(shlex.split(os.environ.get("CC", "cc"))[0])
-    assert (_scan_library() is not None) == (compiler is not None)
-
-
 def test_scanner_cache_cap_keeps_codes_of_the_current_document(monkeypatch):
     # the cap is applied between documents: a document that grows the
     # cache past it still gets the codes of all its terms
     monkeypatch.setattr(_SurfaceCache, "_CAP", 3)
     scanner = TermScanner(CFG)
-    assert scanner._scan_python("7 a b c d") == ([(0, 8)], 5)
-    assert scanner._scan_python("e f 8 hours") == ([(2, 9), (3, unit_term("hour") + 1)], 4)
+    assert scanner.scan_shifted("7 a b c d") == ([(0, 8)], 5)
+    assert scanner.scan_shifted("e f 8 hours") == ([(2, 9), (3, unit_term("hour") + 1)], 4)
 
 
 # --- count_shard --------------------------------------------------------
