@@ -166,21 +166,24 @@ def _cmd_eval(args) -> int:
         raise UsageError("give exactly one of --endpoint or --mock")
     paths = sorted(args.bundles.glob("*.jsonl")) if args.bundles.is_dir() else [args.bundles]
     mock = endpoint = None
-    if args.mock is not None:
-        mock = MockPolicy.parse(args.mock)
-        if mock.kind == "freq_logistic" and args.counts is None:
-            raise UsageError("freq_logistic mock needs --counts")
-    else:
-        if not args.model:
-            raise UsageError("--endpoint needs --model")
-        endpoint = EndpointConfig(
-            base_url=args.endpoint,
-            model_name=args.model,
-            max_new_tokens=args.max_new_tokens,
-            max_in_flight=args.max_in_flight,
-            max_attempts=args.max_attempts,
-            timeout=args.timeout,
-        )
+    if args.mock is None and not args.model:
+        raise UsageError("--endpoint needs --model")
+    try:  # a mock spec or endpoint value the scorer classes reject
+        if args.mock is not None:
+            mock = MockPolicy.parse(args.mock)
+        else:
+            endpoint = EndpointConfig(
+                base_url=args.endpoint,
+                model_name=args.model,
+                max_new_tokens=args.max_new_tokens,
+                max_in_flight=args.max_in_flight,
+                max_attempts=args.max_attempts,
+                timeout=args.timeout,
+            )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    if mock is not None and mock.kind == "freq_logistic" and args.counts is None:
+        raise UsageError("freq_logistic mock needs --counts")
     inputs = {}
     if endpoint is not None:  # the journal's fingerprint; a mock keeps no journal
         inputs = {path.name: sha256_file(path) for path in paths}

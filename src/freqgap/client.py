@@ -55,10 +55,9 @@ class EndpointConfig:
     completions_path: str = "/v1/completions"
 
     def __post_init__(self) -> None:
-        if self.max_in_flight < 1:
-            raise ValueError("max_in_flight must be >= 1")
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
+        for name in ("max_new_tokens", "max_in_flight", "max_attempts"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.temperature != 0.0:
             raise ValueError("decoding is greedy; temperature must be 0")
 

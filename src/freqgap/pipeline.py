@@ -22,7 +22,7 @@ from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 from . import __version__
 from .analysis import build_report, write_report
-from .client import MOCK_KINDS, EndpointConfig, EvalRecord, MockPolicy, evaluate
+from .client import EndpointConfig, EvalRecord, MockPolicy, evaluate
 from .client import load_records, save_records
 from .corpus import CORPUS_FORMATS, corpus_units, count_corpus
 from .counting import CounterConfig, CountTable
@@ -159,15 +159,15 @@ CONFIG_FIELDS = (
     _Field("seed", int),
     _Field("bins", int, _at_least(2)),
     _Field("shards", int, _at_least(1)),
-    _Field("mock.kind", str, _one_of(MOCK_KINDS)),
+    _Field("mock.kind", str),
     _Field("mock.a", float),
     _Field("mock.b", float),
     _Field("mock.seed", int),
     _Field("endpoint.base_url", str),
     _Field("endpoint.model_name", str),
-    _Field("endpoint.max_new_tokens", int, _at_least(1)),
-    _Field("endpoint.max_in_flight", int, _at_least(1)),
-    _Field("endpoint.max_attempts", int, _at_least(1)),
+    _Field("endpoint.max_new_tokens", int),
+    _Field("endpoint.max_in_flight", int),
+    _Field("endpoint.max_attempts", int),
     _Field("endpoint.timeout", float),
     _Field("endpoint.completions_path", str),
 )
@@ -226,9 +226,12 @@ def parse_config(data: dict) -> tuple[RunConfig, list[str]]:
     if diags:
         raise ConfigError(diags)
 
-    mock = MockPolicy(**values["mock"]) if "mock" in data else None
-    endpoint = EndpointConfig(**values["endpoint"]) if "endpoint" in data else None
-    config = RunConfig(**values[""], **values["corpus"], mock=mock, endpoint=endpoint)
+    section = "mock" if "mock" in data else "endpoint"
+    try:  # MockPolicy and EndpointConfig check their own values
+        scorer = _SECTION_TYPES[section](**values[section])
+    except ValueError as exc:
+        raise ConfigError([f"{section}: {exc}"]) from exc
+    config = RunConfig(**values[""], **values["corpus"], **{section: scorer})
     warnings = []
     if not set(config.ks) <= set(STANDARD_KS):
         warnings.append(

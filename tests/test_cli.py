@@ -162,7 +162,12 @@ def test_unusable_endpoint_value_exits_1(tmp_path, capsys):
         "endpoint": {"base_url": "http://x", "model_name": "m", "max_in_flight": 0},
     }))
     assert main(["run", "--config", str(path)]) == 1
-    assert "endpoint.max_in_flight: must be >= 1" in capsys.readouterr().err
+    assert "endpoint: max_in_flight must be >= 1" in capsys.readouterr().err
+    bundles, out = str(tmp_path / "b.jsonl"), str(tmp_path / "eval")
+    for flag in ("--max-in-flight", "--max-attempts", "--max-new-tokens"):
+        argv = ["eval", "--bundles", bundles, "--out", out, "--endpoint", "http://x"]
+        assert main(argv + ["--model", "m", flag, "0"]) == 1
+    assert main(["eval", "--bundles", bundles, "--out", out, "--mock", "nonsense"]) == 1
 
 
 def test_count_rejects_targets_outside_the_counted_families(workspace, tmp_path, capsys):

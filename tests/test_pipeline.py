@@ -115,8 +115,10 @@ def _endpoint_config(**endpoint):
 @pytest.mark.parametrize(
     "data, diagnostic",
     [
-        (_endpoint_config(max_in_flight=0), "endpoint.max_in_flight: must be >= 1"),
-        (_endpoint_config(max_attempts=0), "endpoint.max_attempts: must be >= 1"),
+        (_endpoint_config(max_in_flight=0), "endpoint: max_in_flight must be >= 1"),
+        (_endpoint_config(max_attempts=0), "endpoint: max_attempts must be >= 1"),
+        (_endpoint_config(max_new_tokens=0), "endpoint: max_new_tokens must be >= 1"),
+        (_config(mock={"kind": "x"}), "mock: unknown mock policy kind: 'x'"),
         (_config(seeds=True), "seeds: expected int"),
         (_config(ks=[True, 2]), "ks: invalid shot counts [True]"),
         (_config(tasks=["mult", "add", "mult"]), "tasks: must not repeat an entry"),
