@@ -17,7 +17,7 @@ from . import __version__
 from .analysis import GROUPING_KEYS, compare_runs
 from .client import EndpointConfig, MockPolicy, load_records
 from .corpus import CORPUS_FORMATS, count_corpus, merge_table_files
-from .counting import CounterConfig
+from .counting import CounterConfig, CountTable
 from .demo import generate_demo_corpus
 from .pipeline import (
     ConfigError,
@@ -30,7 +30,7 @@ from .pipeline import (
     scorer_digest,
     validate_config,
 )
-from .tasks import ALL_TASKS, load_targets
+from .tasks import ALL_TASKS, load_bundles, load_targets
 from .util import sha256_file
 
 log = logging.getLogger(__name__)
@@ -144,7 +144,7 @@ def _cmd_merge(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    run_gen(args.counts, [args.task], args.out)
+    run_gen(CountTable.load(args.counts), [args.task], args.out)
     return 0
 
 
@@ -182,15 +182,18 @@ def _cmd_eval(args) -> int:
             )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    if mock is not None and mock.kind == "freq_logistic" and args.counts is None:
+    reads_counts = mock is not None and mock.kind == "freq_logistic"
+    if reads_counts and args.counts is None:
         raise UsageError("freq_logistic mock needs --counts")
     inputs = {}
     if endpoint is not None:  # the journal's fingerprint; a mock keeps no journal
         inputs = {path.name: sha256_file(path) for path in paths}
         inputs["scorer"] = scorer_digest(mock, endpoint)
     records_path = args.out / "records.jsonl"
+    bundles = [b for path in paths for b in load_bundles(path)]
+    counts = CountTable.load(args.counts) if reads_counts else None  # others ignore counts
     records = run_eval(
-        paths, records_path, inputs, mock, endpoint, args.counts, resume=not args.no_resume
+        bundles, records_path, inputs, mock, endpoint, counts, resume=not args.no_resume
     )
     log.info("%d records -> %s", len(records), records_path)
     return 0
@@ -206,10 +209,9 @@ def _cmd_analyze(args) -> int:
         if bad:
             raise UsageError(f"unknown grouping keys: {bad}")
     ks = [int(k) for k in args.ks.split(",")] if args.ks else None
-    run_analyze(
-        records, sorted(args.datasets.glob("*.jsonl")), args.counts, args.out,
-        args.label, ks=ks, keys=keys, bins=args.bins,
-    )
+    datasets = sorted(args.datasets.glob("*.jsonl"))
+    counts = CountTable.load(args.counts)
+    run_analyze(records, datasets, counts, args.out, args.label, ks=ks, keys=keys, bins=args.bins)
     return 0
 
 

@@ -225,8 +225,9 @@ class CountTable:
         """Frequency of a term set; 0 for absent keys."""
         return self.entries.get(term_set(key), 0)
 
-    def save(self, path: Path | str) -> None:
+    def save(self, path: Path | str) -> "CountTable":
         write_table(path, _sorted_lines(self.entries), self.meta)
+        return self
 
     def select(self, targeted: CounterConfig) -> "CountTable":
         """The table a count of this table's corpus under `targeted` gives.

@@ -4,6 +4,10 @@ completed stages resumable.  The stage bodies (run_gen ... run_analyze)
 are shared with the CLI.  The corpus is read once: the targeted table
 (stage count_pass2) is selected from the pass-1 table.
 
+A stage hands its result (a count table, the bundles, the records) to
+the stages after it in memory; a consumer reads its producer's file
+only when the producer was skipped as up to date.
+
 Every stage writes its artifacts atomically and records their content
 digests plus the digests of its inputs; a stage is skipped on re-run
 only when both sides still match.  The corpus itself is fingerprinted
@@ -28,6 +32,7 @@ from .corpus import CORPUS_FORMATS, corpus_units, count_corpus
 from .counting import CounterConfig, CountTable
 from .tasks import (
     ALL_TASKS,
+    PromptBundle,
     build_fewshot_prompts,
     build_task,
     derive_query_sets,
@@ -329,9 +334,8 @@ def _prompt_file(directory: Path, task_id: str, k: int, seed: int) -> Path:
     return directory / f"{task_id}_k{k}_seed{seed}.jsonl"
 
 
-def run_gen(counts: Path, tasks: Iterable[str], out_dir: Path) -> None:
+def run_gen(table: CountTable, tasks: Iterable[str], out_dir: Path) -> None:
     """Build each task's dataset from a count table into out_dir."""
-    table = CountTable.load(counts)
     for task_id in tasks:
         instances = build_task(table, task_id)
         save_dataset(instances, _dataset_file(out_dir, task_id))
@@ -345,9 +349,11 @@ def run_targets(dataset_paths: Iterable[Path], out: Path) -> None:
 
 def run_prompts(
     dataset_paths: Iterable[Path], ks: Sequence[int], seeds: int, base_seed: int, out_dir: Path
-) -> None:
-    """Write the k-shot bundles of every dataset, k and prompt seed s < seeds;
-    draws are seeded per (task, k, s), decorrelating tasks and shot counts."""
+) -> list[PromptBundle]:
+    """Write and return the k-shot bundles of every dataset, k and prompt
+    seed s < seeds; draws are seeded per (task, k, s), decorrelating tasks
+    and shot counts."""
+    written = []
     for path in dataset_paths:
         dataset = load_dataset(path)
         task_id = dataset[0].task_id if dataset else path.stem
@@ -357,18 +363,21 @@ def run_prompts(
                     dataset, k, seed=s, shot_seed=derive_seed(base_seed, task_id, k, s)
                 )
                 save_bundles(bundles, _prompt_file(out_dir, task_id, k, s))
+                written.extend(bundles)
+    return written
 
 
 def run_eval(
-    bundle_paths: Iterable[Path],
+    bundles: Sequence[PromptBundle],
     records_path: Path,
     inputs: dict[str, str],
     mock: MockPolicy | None = None,
     endpoint: EndpointConfig | None = None,
-    counts: Path | None = None,
+    counts: CountTable | None = None,
     resume: bool = True,
 ) -> list[EvalRecord]:
-    """Score the bundles into records_path.
+    """Score the bundles into records_path; counts are the freq_logistic
+    mock's table.
 
     An endpoint eval journals beside it; `inputs` fingerprints what the
     records depend on (prompt files, count table, scorer), and a journal
@@ -385,13 +394,8 @@ def run_eval(
             journal.unlink(missing_ok=True)
         with atomic_open(journal_inputs) as f:
             f.write(current)
-    bundles = []
-    for path in bundle_paths:
-        bundles.extend(load_bundles(path))
-    reads_counts = mock is not None and mock.kind == "freq_logistic" and counts is not None
-    table = CountTable.load(counts) if reads_counts else None  # other mocks ignore frequencies
     records = evaluate(
-        bundles, endpoint=endpoint, mock=mock, counts=table, journal=journal, resume=resume
+        bundles, endpoint=endpoint, mock=mock, counts=counts, journal=journal, resume=resume
     )
     save_records(records, records_path)
     return records
@@ -400,7 +404,7 @@ def run_eval(
 def run_analyze(
     records: Sequence[EvalRecord],
     dataset_paths: Iterable[Path],
-    counts: Path,
+    counts: CountTable,
     out_dir: Path,
     label: str,
     tasks: Sequence[str] | None = None,
@@ -422,8 +426,13 @@ def run_analyze(
         tasks = [t for t in ALL_TASKS if t in present]
     if ks is None:
         ks = sorted({r.k for r in records})
-    reports = build_report(records, instances, CountTable.load(counts), tasks, ks, keys, bins)
+    reports = build_report(records, instances, counts, tasks, ks, keys, bins)
     write_report(reports, out_dir, label=label)
+
+
+def _table(handed: CountTable | None, path: Path) -> CountTable:
+    """A producer stage's table, or its file when that stage was skipped."""
+    return CountTable.load(path) if handed is None else handed
 
 
 def run_pipeline(config: RunConfig, force: bool = False) -> RunManifest:
@@ -465,11 +474,14 @@ def run_pipeline(config: RunConfig, force: bool = False) -> RunManifest:
 
     datasets_dir = out / "datasets"
     dataset_paths = [_dataset_file(datasets_dir, t) for t in config.tasks]
-    runner.stage(
-        "gen",
-        {**base_inputs, **runner.artifact_digests("count_pass1")},
-        dataset_paths,
-        lambda: run_gen(pass1, config.tasks, datasets_dir),
+
+    def gen() -> CountTable:  # its table goes on to count_pass2
+        table = CountTable.load(pass1)
+        run_gen(table, config.tasks, datasets_dir)
+        return table
+
+    table1 = runner.stage(
+        "gen", {**base_inputs, **runner.artifact_digests("count_pass1")}, dataset_paths, gen
     )
 
     targets_path = out / "targets.txt"
@@ -481,14 +493,15 @@ def run_pipeline(config: RunConfig, force: bool = False) -> RunManifest:
     )
 
     pass2 = out / "counts" / "pass2" / "counts.tsv"
-    runner.stage(
+    table2 = runner.stage(
         "count_pass2",
         {**runner.artifact_digests("count_pass1"), **runner.artifact_digests("targets")},
         [pass2, pass2.with_suffix(".meta.json")],
-        lambda: CountTable.load(pass1)
+        lambda: _table(table1, pass1)
         .select(counter.with_targets(load_targets(targets_path)))
         .save(pass2),
     )
+    table1 = None  # count_pass2 was its one reader
 
     prompts_dir = out / "prompts"
     prompt_paths = [
@@ -497,7 +510,7 @@ def run_pipeline(config: RunConfig, force: bool = False) -> RunManifest:
         for k in config.ks
         for s in range(config.seeds)
     ]
-    runner.stage(
+    bundles = runner.stage(
         "prompts",
         {**runner.artifact_digests("gen"), "seed": str(config.seed)},
         prompt_paths,
@@ -510,14 +523,18 @@ def run_pipeline(config: RunConfig, force: bool = False) -> RunManifest:
         **runner.artifact_digests("count_pass2"),
         "scorer": scorer_digest(config.mock, config.endpoint),
     }
+    reads_counts = config.mock is not None and config.mock.kind == "freq_logistic"
     records = runner.stage(
         "eval",
         eval_inputs,
         [records_path],
         lambda: run_eval(
-            prompt_paths, records_path, eval_inputs, config.mock, config.endpoint, pass2
+            [b for p in prompt_paths for b in load_bundles(p)] if bundles is None else bundles,
+            records_path, eval_inputs, config.mock, config.endpoint,
+            _table(table2, pass2) if reads_counts else None,  # other scorers ignore counts
         ),
     )
+    bundles = None  # analyze's peak memory does not hold them
 
     report_dir = out / "report"
     runner.stage(
@@ -527,7 +544,7 @@ def run_pipeline(config: RunConfig, force: bool = False) -> RunManifest:
         lambda: run_analyze(
             load_records(records_path) if records is None else records,
             dataset_paths,
-            pass2,
+            _table(table2, pass2),
             report_dir,
             config.label(),
             config.tasks,

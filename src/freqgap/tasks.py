@@ -166,23 +166,33 @@ def render_prompt(instance: TaskInstance, with_answer: bool) -> str:
     return question
 
 
+def render_shot_block(shots: Sequence[TaskInstance]) -> str:
+    """The answered shots, one per line, that open every prompt of a draw."""
+    return "".join(render_prompt(s, with_answer=True) + "\n" for s in shots)
+
+
 @dataclass(frozen=True)
 class PromptBundle:
     """One test question plus its k answered in-context examples.
 
-    Shots are not persisted, so k is an explicit field; in-process it
-    always equals len(shots).
+    The bundles of one shot draw share its shots and its rendered
+    shot_block.  A bundle read from a line that stores its whole prompt
+    has the block but not the shots, so k is an explicit field.
     """
 
     test_instance: TaskInstance
     shots: tuple[TaskInstance, ...]
     seed: int
     k: int
-    rendered: str
+    shot_block: str
 
     @property
     def gold(self) -> int:
         return self.test_instance.y
+
+    @property
+    def rendered(self) -> str:
+        return self.shot_block + render_prompt(self.test_instance, with_answer=False)
 
 
 def _sample_indices(n: int, k: int, seed: int) -> list[int]:
@@ -214,14 +224,12 @@ def build_fewshot_prompts(
     draw = _sample_indices(len(dataset), k, seed if shot_seed is None else shot_seed)
     shot_set = set(draw)
     shots = tuple(dataset[i] for i in draw)
-    shot_block = "".join(render_prompt(s, with_answer=True) + "\n" for s in shots)
-    bundles = []
-    for i, instance in enumerate(dataset):
-        if i in shot_set:
-            continue
-        rendered = shot_block + render_prompt(instance, with_answer=False)
-        bundles.append(PromptBundle(instance, shots, seed, k, rendered))
-    return bundles
+    shot_block = render_shot_block(shots)
+    return [
+        PromptBundle(instance, shots, seed, k, shot_block)
+        for i, instance in enumerate(dataset)
+        if i not in shot_set
+    ]
 
 
 def derive_query_sets(datasets: Iterable[Sequence[TaskInstance]]) -> list[tuple[int, ...]]:
@@ -271,10 +279,14 @@ def _instance_from_record(rec: dict, y: int) -> TaskInstance:
     )
 
 
+def _answered_record(inst: TaskInstance) -> dict:
+    return {**_instance_record(inst), "y": inst.y}
+
+
 def save_dataset(instances: Sequence[TaskInstance], path: Path | str) -> None:
     with atomic_open(path) as f:
         for inst in instances:
-            f.write(json.dumps({**_instance_record(inst), "y": inst.y}, sort_keys=True) + "\n")
+            f.write(json.dumps(_answered_record(inst), sort_keys=True) + "\n")
 
 
 def load_dataset(path: Path | str) -> list[TaskInstance]:
@@ -283,31 +295,46 @@ def load_dataset(path: Path | str) -> list[TaskInstance]:
 
 
 def save_bundles(bundles: Sequence[PromptBundle], path: Path | str) -> None:
-    """Bundle records carry the test instance's terms so evaluation and
-    mock models can run without a dataset join."""
+    """One bundle per line (layout in README.md): the test instance, so
+    evaluation runs without a dataset join, and the index of its shot
+    set, whose instances the set's first line carries.  A bundle read
+    without its shots keeps its whole prompt."""
+    set_index: dict[int, int] = {}  # id(bundle.shots) -> shot_set
     with atomic_open(path) as f:
         for b in bundles:
             record = {
-                **_instance_record(b.test_instance),
-                "seed": b.seed,
-                "k": b.k,
-                "prompt": b.rendered,
-                "gold": b.gold,
+                **_instance_record(b.test_instance), "seed": b.seed, "k": b.k, "gold": b.gold
             }
+            if len(b.shots) != b.k:
+                record["prompt"] = b.rendered
+            else:
+                index = set_index.get(id(b.shots))
+                if index is None:
+                    index = set_index[id(b.shots)] = len(set_index)
+                    record["shots"] = [_answered_record(s) for s in b.shots]
+                record["shot_set"] = index
             f.write(json.dumps(record, sort_keys=True) + "\n")
 
 
 def load_bundles(path: Path | str) -> list[PromptBundle]:
+    """Bundles of a save_bundles file; a line may also carry its whole
+    prompt instead of a shot set, as every line did before shot sets."""
+    shot_sets: dict[int, tuple[tuple[TaskInstance, ...], str]] = {}
     bundles = []
     with open(path, encoding="utf-8") as f:
-        for line in f:
-            rec = json.loads(line)
+        for rec in map(json.loads, f):
             inst = _instance_from_record(rec, rec["gold"])
-            bundles.append(
-                PromptBundle(
-                    inst, shots=(), seed=rec["seed"], k=rec["k"], rendered=rec["prompt"]
-                )
-            )
+            if "prompt" in rec:
+                question = render_prompt(inst, with_answer=False)
+                if not rec["prompt"].endswith(question):
+                    raise DatasetError(f"{path}: a prompt does not end with its question")
+                shots, block = (), rec["prompt"][: -len(question)]
+            else:
+                if "shots" in rec:
+                    shots = tuple(_instance_from_record(s, s["y"]) for s in rec["shots"])
+                    shot_sets[rec["shot_set"]] = (shots, render_shot_block(shots))
+                shots, block = shot_sets[rec["shot_set"]]
+            bundles.append(PromptBundle(inst, shots, rec["seed"], rec["k"], block))
     return bundles
 
 

@@ -107,9 +107,9 @@ def test_primary_term_set():
 
 
 def _wrap_bundle(inst):
-    from freqgap.tasks import PromptBundle, render_prompt
+    from freqgap.tasks import PromptBundle
 
-    return PromptBundle(inst, (), seed=0, k=0, rendered=render_prompt(inst, False))
+    return PromptBundle(inst, (), seed=0, k=0, shot_block="")
 
 
 def test_freq_logistic_matches_closed_form():

@@ -19,7 +19,8 @@ from freqgap.pipeline import (
     scorer_digest,
     validate_config,
 )
-from freqgap.tasks import load_targets
+from freqgap.tasks import load_bundles, load_targets
+from freqgap.util import sha256_file
 
 BASE_CONFIG = {
     "corpus": {"path": "/tmp/corpus", "format": "jsonl"},
@@ -105,6 +106,13 @@ def test_validate_config_reads_file(tmp_path):
 
 ENDPOINT = {"base_url": "http://x", "model_name": "m"}
 
+# records and report of a 1 MB demo corpus (seed 0), all tasks, ks 0 and 2,
+# two prompt seeds, mock freq_logistic:1,-3,6
+PINNED_OUTPUTS = {
+    "records/records.jsonl": "5e7dc5272db3e20a8caff044aa8775a449fea95244cbbfb6a3520df08468ff88",
+    "report/report.json": "7d7a482c2de752d6c4cf68a2b2a6a7e2bac96bc22b9bc2fa5503cd3c1f1da121",
+}
+
 
 def _endpoint_config(**endpoint):
     data = _config(endpoint={**ENDPOINT, **endpoint})
@@ -149,6 +157,14 @@ def test_to_dict_is_the_config_file_layout():
         config, _ = parse_config(data)
         assert parse_config(config.to_dict())[0] == config
     assert parse_config(mock)[0].to_dict() == mock
+
+
+def test_freq_logistic_run_outputs_are_pinned(small_corpus, tmp_path):
+    # a change here is a change of the prompts, the mock's draws or the analysis
+    out = tmp_path / "run"
+    run_pipeline(_run_config(small_corpus, out, mock="freq_logistic:1,-3,6"))
+    digests = {rel: sha256_file(out / rel) for rel in PINNED_OUTPUTS}
+    assert digests == PINNED_OUTPUTS
 
 
 def test_mock_config_digest_is_pinned():
@@ -285,10 +301,16 @@ def test_mock_eval_writes_records_once_and_skips_unused_counts(
 
     monkeypatch.setattr(CountTable, "load", classmethod(counting_load))
     out = tmp_path / "run"
-    run_pipeline(_run_config(small_corpus, out, tasks=("mult",), ks=(0,), seeds=1))
-    pass2 = out / "counts" / "pass2" / "counts.tsv"
-    assert loads.count(pass2) == 1  # analyze only; the perfect mock ignores frequencies
+    config = _run_config(small_corpus, out, tasks=("mult",), ks=(0,), seeds=1)
+    run_pipeline(config)
+    assert loads == [out / "counts" / "pass1" / "counts.tsv"]  # by gen
     assert [p.name for p in (out / "records").iterdir()] == ["records.jsonl"]
+    # eval runs again after count_pass2 was skipped: the perfect mock
+    # ignores frequencies, so no table is read
+    (out / "records" / "records.jsonl").unlink()
+    loads.clear()
+    run_pipeline(config)
+    assert loads == []
 
 
 def test_pipeline_recounts_after_an_edit_that_keeps_the_size(small_corpus, tmp_path):
@@ -392,6 +414,47 @@ def test_analyze_uses_eval_records_and_reads_the_file_only_when_eval_is_skipped(
         "count_pass1", "gen", "targets", "count_pass2", "prompts", "eval", "analyze",
     }
     assert (out / "report" / "report.json").read_bytes() == fresh
+
+
+def test_bundles_and_tables_pass_forward_and_files_are_read_only_after_a_skip(
+    small_corpus, tmp_path, monkeypatch
+):
+    import freqgap.pipeline as pipeline_mod
+
+    bundle_loads, table_loads = [], []
+
+    def counting_load_bundles(path):
+        bundle_loads.append(path)
+        return load_bundles(path)
+
+    load = CountTable.load.__func__
+
+    def counting_load(cls, path):
+        table_loads.append(path)
+        return load(cls, path)
+
+    monkeypatch.setattr(pipeline_mod, "load_bundles", counting_load_bundles)
+    monkeypatch.setattr(CountTable, "load", classmethod(counting_load))
+    out = tmp_path / "run"
+    config = _run_config(
+        small_corpus, out, mock="freq_logistic:1,-3,6", tasks=("mult", "hour_min"), seeds=1
+    )
+    first = run_pipeline(config).stages
+    assert bundle_loads == []
+    assert table_loads == [out / "counts" / "pass1" / "counts.tsv"]
+    outputs = ["records/records.jsonl", "report/report.json"]
+    fresh = {rel: (out / rel).read_bytes() for rel in outputs}
+
+    (out / "records" / "records.jsonl").unlink()
+    shutil.rmtree(out / "report")
+    bundle_loads.clear()
+    table_loads.clear()
+    second = run_pipeline(config).stages
+    rerun = {n for n, st in second.items() if st["completed_at"] != first[n]["completed_at"]}
+    assert rerun == {"eval", "analyze"}
+    assert sorted(bundle_loads) == sorted((out / "prompts").glob("*.jsonl"))
+    assert table_loads == [out / "counts" / "pass2" / "counts.tsv"] * 2  # eval, analyze
+    assert {rel: (out / rel).read_bytes() for rel in outputs} == fresh
 
 
 def test_a_kill_at_any_commit_resumes_to_the_clean_run(tmp_path, monkeypatch):

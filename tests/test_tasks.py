@@ -1,3 +1,5 @@
+import json
+import random
 import re
 from pathlib import Path
 
@@ -24,7 +26,8 @@ from freqgap.tasks import (
     save_bundles,
     save_dataset,
 )
-from freqgap.terms import key_str, term_set, unit_term
+from freqgap.terms import key_str, term_set, term_str, unit_term
+from freqgap.util import sha256_text
 
 GOLDEN = Path(__file__).parent / "golden" / "prompts.txt"
 
@@ -293,18 +296,48 @@ def test_dataset_roundtrip(tmp_path):
 
 
 def test_bundle_roundtrip(tmp_path):
-    dataset = _tiny_dataset(10)
-    bundles = build_fewshot_prompts(dataset, 2, seed=1)
+    # one file holds several shot sets, interleaved the way perfbench's
+    # eval input samples them, plus a line of the layout that stored the
+    # whole prompt on every line
+    table = _synthetic_table(n_small=5, unit_values={"hour": [7, 9, 12, 15, 31, 44]})
+    shot_sets = [
+        build_fewshot_prompts(_tiny_dataset(10), 2, seed=1),
+        build_fewshot_prompts(build_task(table, "hour_min"), 4, seed=0, shot_seed=5),
+        build_fewshot_prompts(build_task(table, "add_hash"), 0, seed=2),
+        build_fewshot_prompts(build_task(table, "mult"), 8, seed=3, shot_seed=9),
+    ]
+    bundles = [b for shot_set in shot_sets for b in shot_set]
+    random.Random(0).shuffle(bundles)
     path = tmp_path / "bundles.jsonl"
     save_bundles(bundles, path)
+    lines = path.read_text().splitlines(keepends=True)
+    assert len(lines) == len(bundles)
+    assert sum('"shots"' in line for line in lines) == len(shot_sets)
+
+    legacy = build_fewshot_prompts(build_task(table, "hour_min"), 3, seed=4)[0]
+    inst = legacy.test_instance
+    legacy_line = {
+        "factor": inst.factor, "gold": legacy.gold, "instance_id": inst.instance_id,
+        "k": legacy.k, "prompt": legacy.rendered, "seed": legacy.seed,
+        "task_id": inst.task_id, "x": [term_str(c) for c in inst.x],
+    }
+    lines.insert(len(lines) // 2, json.dumps(legacy_line, sort_keys=True) + "\n")
+    bundles.insert(len(bundles) // 2, legacy)
+    path.write_text("".join(lines))
+
+    def fields(b):
+        return (
+            b.rendered, b.k, b.seed, b.gold, b.test_instance.instance_id,
+            sha256_text(b.rendered)[:16],
+        )
+
     loaded = load_bundles(path)
-    assert [b.rendered for b in loaded] == [b.rendered for b in bundles]
-    assert [b.k for b in loaded] == [b.k for b in bundles]
-    assert [b.seed for b in loaded] == [b.seed for b in bundles]
-    assert [b.test_instance.instance_id for b in loaded] == [
-        b.test_instance.instance_id for b in bundles
+    assert [fields(b) for b in loaded] == [fields(b) for b in bundles]
+    # the legacy bundle has no shots to store and keeps its prompt
+    save_bundles(loaded, tmp_path / "again.jsonl")
+    assert [fields(b) for b in load_bundles(tmp_path / "again.jsonl")] == [
+        fields(b) for b in bundles
     ]
-    assert all(b.gold == o.gold for b, o in zip(loaded, bundles))
 
 
 def test_instance_ids_stable():
