@@ -58,7 +58,6 @@ def main() -> int:
     point = {
         "command": ["python3", *command[1:]],
         "commit": _git("rev-parse", "HEAD"),
-        "dirty": bool(_git("status", "--porcelain", "--untracked-files=no")),
         "nproc": os.cpu_count(),
         "python": platform.python_version(),
         "result": result,
