@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Record one point of the benchmark trajectory as BENCH_<pr>.json.
+"""Record one point of the benchmark trajectory as BENCH_<N>.json.
 
-    python3 scripts/bench.py --pr N [--seed 1]
+    python3 scripts/bench.py --number N [--seed 1]
 
 Runs the traced demo-run sweep of the benchmark,
 
@@ -9,7 +9,7 @@ Runs the traced demo-run sweep of the benchmark,
 
 from the root of the checkout, passes its output through, and writes
 its last stdout line (the JSON result) with the machine's CPU count,
-the Python version and the checked-out commit to BENCH_<pr>.json in
+the Python version and the checked-out commit to BENCH_<N>.json in
 the root of the checkout.
 """
 
@@ -36,7 +36,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
     )
-    parser.add_argument("--pr", type=int, required=True, help="number in the output file name")
+    parser.add_argument("--number", type=int, required=True, help="N in BENCH_<N>.json")
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args()
 
@@ -62,7 +62,7 @@ def main() -> int:
         "python": platform.python_version(),
         "result": result,
     }
-    out = ROOT / f"BENCH_{args.pr}.json"
+    out = ROOT / f"BENCH_{args.number}.json"
     out.write_text(json.dumps(point, indent=1, sort_keys=True) + "\n")
     print(f"bench: wrote {out.name}", file=sys.stderr)
     return 0
