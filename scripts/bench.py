@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Record one point of the benchmark trajectory as BENCH_<N>.json.
 
-    python3 scripts/bench.py --number N [--seed 1]
+    python3 scripts/bench.py --number N
 
-Runs the traced demo-run sweep of the benchmark,
+Runs the traced demo-run sweep of the benchmark on its fixed seed,
 
-    python3 perfbench/run.py --workload demo-run --seed N --seconds 25 --trace 1
+    python3 perfbench/run.py --workload demo-run --seed 1 --seconds 25 --trace 1
 
 from the root of the checkout, passes its output through, and writes
 its last stdout line (the JSON result) with the machine's CPU count,
@@ -37,12 +37,11 @@ def main() -> int:
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
     )
     parser.add_argument("--number", type=int, required=True, help="N in BENCH_<N>.json")
-    parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args()
 
     command = [
         sys.executable, "perfbench/run.py", "--workload", "demo-run",
-        "--seed", str(args.seed), "--seconds", "25", "--trace", "1",
+        "--seed", "1", "--seconds", "25", "--trace", "1",
     ]
     run = subprocess.run(command, cwd=ROOT, capture_output=True, text=True)
     sys.stdout.write(run.stdout)

@@ -182,7 +182,7 @@ def _cmd_eval(args) -> int:
             )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    reads_counts = mock is not None and mock.kind == "freq_logistic"
+    reads_counts = mock is not None and mock.reads_counts
     if reads_counts and args.counts is None:
         raise UsageError("freq_logistic mock needs --counts")
     inputs = {}

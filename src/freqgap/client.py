@@ -105,6 +105,11 @@ class MockPolicy:
             return cls(kind, a=float(parts[0]), b=float(parts[1]), seed=seed)
         raise ValueError(f"unknown mock policy: {spec!r}")
 
+    @property
+    def reads_counts(self) -> bool:
+        """Whether the answers depend on a count table."""
+        return self.kind == "freq_logistic"
+
 
 @dataclass
 class EvalRecord:
@@ -291,7 +296,7 @@ def evaluate(
     """
     if (endpoint is None) == (mock is None):
         raise ValueError("exactly one of endpoint or mock must be given")
-    if mock is not None and mock.kind == "freq_logistic" and counts is None:
+    if mock is not None and mock.reads_counts and counts is None:
         raise ValueError("freq_logistic mock needs a count table")
 
     done: dict[tuple, EvalRecord] = {}

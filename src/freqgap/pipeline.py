@@ -503,6 +503,11 @@ def run_pipeline(config: RunConfig, force: bool = False) -> RunManifest:
     )
     table1 = None  # count_pass2 was its one reader
 
+    def counts2() -> CountTable:  # eval and analyze share one parse of pass 2
+        nonlocal table2
+        table2 = _table(table2, pass2)
+        return table2
+
     prompts_dir = out / "prompts"
     prompt_paths = [
         _prompt_file(prompts_dir, t, k, s)
@@ -523,7 +528,6 @@ def run_pipeline(config: RunConfig, force: bool = False) -> RunManifest:
         **runner.artifact_digests("count_pass2"),
         "scorer": scorer_digest(config.mock, config.endpoint),
     }
-    reads_counts = config.mock is not None and config.mock.kind == "freq_logistic"
     records = runner.stage(
         "eval",
         eval_inputs,
@@ -531,7 +535,7 @@ def run_pipeline(config: RunConfig, force: bool = False) -> RunManifest:
         lambda: run_eval(
             [b for p in prompt_paths for b in load_bundles(p)] if bundles is None else bundles,
             records_path, eval_inputs, config.mock, config.endpoint,
-            _table(table2, pass2) if reads_counts else None,  # other scorers ignore counts
+            counts2() if config.mock is not None and config.mock.reads_counts else None,
         ),
     )
     bundles = None  # analyze's peak memory does not hold them
@@ -544,7 +548,7 @@ def run_pipeline(config: RunConfig, force: bool = False) -> RunManifest:
         lambda: run_analyze(
             load_records(records_path) if records is None else records,
             dataset_paths,
-            _table(table2, pass2),
+            counts2(),
             report_dir,
             config.label(),
             config.tasks,

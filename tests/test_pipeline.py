@@ -453,7 +453,7 @@ def test_bundles_and_tables_pass_forward_and_files_are_read_only_after_a_skip(
     rerun = {n for n, st in second.items() if st["completed_at"] != first[n]["completed_at"]}
     assert rerun == {"eval", "analyze"}
     assert sorted(bundle_loads) == sorted((out / "prompts").glob("*.jsonl"))
-    assert table_loads == [out / "counts" / "pass2" / "counts.tsv"] * 2  # eval, analyze
+    assert table_loads == [out / "counts" / "pass2" / "counts.tsv"]  # shared by eval, analyze
     assert {rel: (out / rel).read_bytes() for rel in outputs} == fresh
 
 
