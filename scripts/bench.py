@@ -3,14 +3,18 @@
 
     python3 scripts/bench.py --number N
 
-Runs the traced demo-run sweep of the benchmark on its fixed seed,
+Runs the benchmark's demo-run on its fixed seed twice from the root of
+the checkout, untraced for the end-to-end metrics and traced for the
+per-layer ones,
 
+    python3 perfbench/run.py --workload demo-run --seed 1 --seconds 25 --trace 0
     python3 perfbench/run.py --workload demo-run --seed 1 --seconds 25 --trace 1
 
-from the root of the checkout, passes its output through, and writes
-its last stdout line (the JSON result) with the machine's CPU count,
-the Python version and the checked-out commit to BENCH_<N>.json in
-the root of the checkout.
+passes their output through, and writes their last stdout lines (the
+JSON results) with the machine's CPU count, the Python version and the
+checked-out commit (and whether tracked files differ from it) to
+BENCH_<N>.json in the root of the checkout: the traced run under
+"command" and "result", the untraced one under "end_to_end".
 """
 
 from __future__ import annotations
@@ -39,27 +43,31 @@ def main() -> int:
     parser.add_argument("--number", type=int, required=True, help="N in BENCH_<N>.json")
     args = parser.parse_args()
 
-    command = [
-        sys.executable, "perfbench/run.py", "--workload", "demo-run",
-        "--seed", "1", "--seconds", "25", "--trace", "1",
-    ]
-    run = subprocess.run(command, cwd=ROOT, capture_output=True, text=True)
-    sys.stdout.write(run.stdout)
-    sys.stderr.write(run.stderr)
-    if run.returncode != 0:
-        print(f"bench: perfbench exited {run.returncode}", file=sys.stderr)
-        return run.returncode
-    lines = run.stdout.strip().splitlines()
-    result = json.loads(lines[-1]) if lines else None
-    if not isinstance(result, dict):
-        print("bench: perfbench's last line is not a JSON object", file=sys.stderr)
-        return 1
+    runs = {}
+    for trace in ("0", "1"):
+        command = [
+            sys.executable, "perfbench/run.py", "--workload", "demo-run",
+            "--seed", "1", "--seconds", "25", "--trace", trace,
+        ]
+        run = subprocess.run(command, cwd=ROOT, capture_output=True, text=True)
+        sys.stdout.write(run.stdout)
+        sys.stderr.write(run.stderr)
+        if run.returncode != 0:
+            print(f"bench: perfbench exited {run.returncode}", file=sys.stderr)
+            return run.returncode
+        lines = run.stdout.strip().splitlines()
+        result = json.loads(lines[-1]) if lines else None
+        if not isinstance(result, dict):
+            print("bench: perfbench's last line is not a JSON object", file=sys.stderr)
+            return 1
+        runs[trace] = {"command": ["python3", *command[1:]], "result": result}
     point = {
-        "command": ["python3", *command[1:]],
+        **runs["1"],
         "commit": _git("rev-parse", "HEAD"),
+        "dirty": bool(_git("status", "--porcelain", "--untracked-files=no")),
+        "end_to_end": runs["0"],
         "nproc": os.cpu_count(),
         "python": platform.python_version(),
-        "result": result,
     }
     out = ROOT / f"BENCH_{args.number}.json"
     out.write_text(json.dumps(point, indent=1, sort_keys=True) + "\n")

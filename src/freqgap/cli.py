@@ -30,7 +30,7 @@ from .pipeline import (
     scorer_digest,
     validate_config,
 )
-from .tasks import ALL_TASKS, load_bundles, load_targets
+from .tasks import ALL_TASKS, load_bundles, load_dataset, load_targets
 from .util import sha256_file
 
 log = logging.getLogger(__name__)
@@ -152,12 +152,12 @@ def _cmd_targets(args) -> int:
     paths = sorted(args.datasets.glob("*.jsonl"))
     if not paths:
         raise UsageError(f"no dataset files under {args.datasets}")
-    run_targets(paths, args.out)
+    run_targets([load_dataset(p) for p in paths], args.out)
     return 0
 
 
 def _cmd_prompts(args) -> int:
-    run_prompts([args.dataset], [args.k], args.seeds, args.base_seed, args.out)
+    run_prompts([load_dataset(args.dataset)], [args.k], args.seeds, args.base_seed, args.out)
     return 0
 
 
@@ -209,7 +209,7 @@ def _cmd_analyze(args) -> int:
         if bad:
             raise UsageError(f"unknown grouping keys: {bad}")
     ks = [int(k) for k in args.ks.split(",")] if args.ks else None
-    datasets = sorted(args.datasets.glob("*.jsonl"))
+    datasets = [load_dataset(p) for p in sorted(args.datasets.glob("*.jsonl"))]
     counts = CountTable.load(args.counts)
     run_analyze(records, datasets, counts, args.out, args.label, ks=ks, keys=keys, bins=args.bins)
     return 0

@@ -18,7 +18,7 @@ import re
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -27,7 +27,7 @@ import requests
 from .counting import CountTable
 from .tasks import CONVERSION_TASKS, PromptBundle
 from .terms import term_set
-from .util import atomic_open, sha256_text, unit_uniform
+from .util import atomic_open, sha256_text, sorted_json, unit_uniform
 
 log = logging.getLogger(__name__)
 
@@ -111,7 +111,7 @@ class MockPolicy:
         return self.kind == "freq_logistic"
 
 
-@dataclass
+@dataclass(slots=True)
 class EvalRecord:
     instance_id: str
     task_id: str
@@ -123,6 +123,13 @@ class EvalRecord:
     correct: bool
     latency: float
     error: str | None = None
+
+
+_RECORD_FIELDS = sorted(f.name for f in fields(EvalRecord))
+
+
+def _record_line(record: EvalRecord) -> str:
+    return sorted_json({name: getattr(record, name) for name in _RECORD_FIELDS}) + "\n"
 
 
 _DIGITS_RE = re.compile(r"[0-9]+")
@@ -299,16 +306,17 @@ def evaluate(
     if mock is not None and mock.reads_counts and counts is None:
         raise ValueError("freq_logistic mock needs a count table")
 
-    done: dict[tuple, EvalRecord] = {}
+    records: list[EvalRecord] = []
+    pending = bundles
     journal_path = Path(journal) if journal is not None else None
     if journal_path is not None and resume and journal_path.exists():
-        for rec in _read_journal(journal_path):
-            done[_record_key(rec.instance_id, rec.k, rec.seed)] = rec
-    pending = [
-        b
-        for b in bundles
-        if _record_key(b.test_instance.instance_id, b.k, b.seed) not in done
-    ]
+        done = {_record_key(r.instance_id, r.k, r.seed): r for r in _read_journal(journal_path)}
+        records = list(done.values())
+        pending = [
+            b
+            for b in bundles
+            if _record_key(b.test_instance.instance_id, b.k, b.seed) not in done
+        ]
 
     journal_file = None
     if journal_path is not None:
@@ -316,9 +324,9 @@ def evaluate(
         journal_file = open(journal_path, "a" if resume else "w", encoding="utf-8")
 
     def persist(record: EvalRecord) -> None:
-        done[_record_key(record.instance_id, record.k, record.seed)] = record
+        records.append(record)
         if journal_file is not None:
-            journal_file.write(json.dumps(vars(record), sort_keys=True) + "\n")
+            journal_file.write(_record_line(record))
             journal_file.flush()
 
     try:
@@ -351,7 +359,8 @@ def evaluate(
         if journal_file is not None:
             journal_file.close()
 
-    return sorted(done.values(), key=_record_sort_key)
+    records.sort(key=_record_sort_key)
+    return records
 
 
 def _read_journal(path: Path) -> list[EvalRecord]:
@@ -375,7 +384,7 @@ def save_records(records: Sequence[EvalRecord], path: Path | str) -> None:
     ordered = sorted(records, key=_record_sort_key)
     with atomic_open(path) as f:
         for rec in ordered:
-            f.write(json.dumps(vars(rec), sort_keys=True) + "\n")
+            f.write(_record_line(rec))
 
 
 def load_records(path: Path | str) -> list[EvalRecord]:

@@ -101,7 +101,11 @@ def partition_units(units: list[ShardUnit], shards: int) -> list[list[ShardUnit]
     return [units[i::shards] for i in range(shards)]
 
 
-_READ_BLOCK = 8 << 20
+# Small on purpose.  Blocks of several MB are freed to the brk heap,
+# where the small objects the counter keeps alive pin them: counting the
+# 24 MB demo corpus in 8 MB blocks left 68 MB resident against 36 MB in
+# 256 KB blocks, at the same speed.
+_READ_BLOCK = 256 << 10
 
 
 def _iter_jsonl_lines(unit: ShardUnit) -> Iterator[bytes]:
@@ -110,9 +114,9 @@ def _iter_jsonl_lines(unit: ShardUnit) -> Iterator[bytes]:
         with gzip.open(path, "rb") as f:
             yield from f
         return
-    # Block reads with a line buffer; a line belongs to the range
-    # holding its first byte, so the final partial line is completed
-    # past the range end.
+    # Block reads; a line belongs to the range holding its first byte,
+    # so the final partial line is completed past the range end.  The
+    # pieces of a line that spans blocks are joined once.
     with open(path, "rb") as f:
         budget = unit.end if unit.end >= 0 else path.stat().st_size
         if unit.start > 0:
@@ -120,17 +124,24 @@ def _iter_jsonl_lines(unit: ShardUnit) -> Iterator[bytes]:
             if f.read(1) != b"\n":
                 f.readline()
         budget -= f.tell()
-        leftover = b""
+        pieces: list[bytes] = []
         while budget > 0:
             block = f.read(min(_READ_BLOCK, budget))
             if not block:
                 break
             budget -= len(block)
-            lines = (leftover + block).split(b"\n")
-            leftover = lines.pop()
+            lines = block.split(b"\n")
+            if len(lines) > 1 and pieces:
+                pieces.append(lines[0])
+                lines[0] = b"".join(pieces)
+                pieces = []
+            tail = lines.pop()
+            if tail:
+                pieces.append(tail)
             yield from lines
-        if leftover:
-            yield leftover + (f.readline() or b"")
+        if pieces:
+            pieces.append(f.readline())
+            yield b"".join(pieces)
 
 
 def iter_unit_documents(unit: ShardUnit, stats: ReadStats) -> Iterator[str]:

@@ -4,9 +4,9 @@ completed stages resumable.  The stage bodies (run_gen ... run_analyze)
 are shared with the CLI.  The corpus is read once: the targeted table
 (stage count_pass2) is selected from the pass-1 table.
 
-A stage hands its result (a count table, the bundles, the records) to
-the stages after it in memory; a consumer reads its producer's file
-only when the producer was skipped as up to date.
+A stage hands its result (a count table, the datasets, the bundles,
+the records) to the stages after it in memory; a consumer reads its
+producer's files only when the producer was skipped as up to date.
 
 Every stage writes its artifacts atomically and records their content
 digests plus the digests of its inputs; a stage is skipped on re-run
@@ -32,7 +32,9 @@ from .corpus import CORPUS_FORMATS, corpus_units, count_corpus
 from .counting import CounterConfig, CountTable
 from .tasks import (
     ALL_TASKS,
+    DatasetError,
     PromptBundle,
+    TaskInstance,
     build_fewshot_prompts,
     build_task,
     derive_query_sets,
@@ -334,29 +336,37 @@ def _prompt_file(directory: Path, task_id: str, k: int, seed: int) -> Path:
     return directory / f"{task_id}_k{k}_seed{seed}.jsonl"
 
 
-def run_gen(table: CountTable, tasks: Iterable[str], out_dir: Path) -> None:
-    """Build each task's dataset from a count table into out_dir."""
+Datasets = Sequence[Sequence[TaskInstance]]
+
+
+def run_gen(table: CountTable, tasks: Iterable[str], out_dir: Path) -> Datasets:
+    """Build each task's dataset from a count table into out_dir, and
+    return them."""
+    datasets = []
     for task_id in tasks:
         instances = build_task(table, task_id)
         save_dataset(instances, _dataset_file(out_dir, task_id))
         log.info("%s: %d instances", task_id, len(instances))
+        datasets.append(instances)
+    return datasets
 
 
-def run_targets(dataset_paths: Iterable[Path], out: Path) -> None:
+def run_targets(datasets: Datasets, out: Path) -> None:
     """Write the term sets the targeted count pass needs for these datasets."""
-    save_targets(derive_query_sets(load_dataset(p) for p in dataset_paths), out)
+    save_targets(derive_query_sets(datasets), out)
 
 
 def run_prompts(
-    dataset_paths: Iterable[Path], ks: Sequence[int], seeds: int, base_seed: int, out_dir: Path
+    datasets: Datasets, ks: Sequence[int], seeds: int, base_seed: int, out_dir: Path
 ) -> list[PromptBundle]:
     """Write and return the k-shot bundles of every dataset, k and prompt
     seed s < seeds; draws are seeded per (task, k, s), decorrelating tasks
     and shot counts."""
     written = []
-    for path in dataset_paths:
-        dataset = load_dataset(path)
-        task_id = dataset[0].task_id if dataset else path.stem
+    for dataset in datasets:
+        if not dataset:
+            raise DatasetError("a dataset without instances has no prompts")
+        task_id = dataset[0].task_id
         for k in ks:
             for s in range(seeds):
                 bundles = build_fewshot_prompts(
@@ -403,7 +413,7 @@ def run_eval(
 
 def run_analyze(
     records: Sequence[EvalRecord],
-    dataset_paths: Iterable[Path],
+    datasets: Datasets,
     counts: CountTable,
     out_dir: Path,
     label: str,
@@ -417,10 +427,7 @@ def run_analyze(
     tasks default to those present in the datasets (in ALL_TASKS order),
     ks to those present in the records.
     """
-    instances = {}
-    for path in dataset_paths:
-        for inst in load_dataset(path):
-            instances[inst.instance_id] = inst
+    instances = {inst.instance_id: inst for dataset in datasets for inst in dataset}
     if tasks is None:
         present = {inst.task_id for inst in instances.values()}
         tasks = [t for t in ALL_TASKS if t in present]
@@ -430,9 +437,18 @@ def run_analyze(
     write_report(reports, out_dir, label=label)
 
 
-def _table(handed: CountTable | None, path: Path) -> CountTable:
-    """A producer stage's table, or its file when that stage was skipped."""
-    return CountTable.load(path) if handed is None else handed
+class _Handed:
+    """A producer stage's result, or, when that stage was skipped and
+    handed None, its files read at most once."""
+
+    def __init__(self, result: Any, read: Callable[[], Any]):
+        self.result = result
+        self.read = read
+
+    def __call__(self) -> Any:
+        if self.result is None:
+            self.result = self.read()
+        return self.result
 
 
 def run_pipeline(config: RunConfig, force: bool = False) -> RunManifest:
@@ -475,21 +491,22 @@ def run_pipeline(config: RunConfig, force: bool = False) -> RunManifest:
     datasets_dir = out / "datasets"
     dataset_paths = [_dataset_file(datasets_dir, t) for t in config.tasks]
 
-    def gen() -> CountTable:  # its table goes on to count_pass2
+    def gen() -> tuple[CountTable, Datasets]:  # its table goes on to count_pass2
         table = CountTable.load(pass1)
-        run_gen(table, config.tasks, datasets_dir)
-        return table
+        return table, run_gen(table, config.tasks, datasets_dir)
 
-    table1 = runner.stage(
+    table1, datasets = runner.stage(
         "gen", {**base_inputs, **runner.artifact_digests("count_pass1")}, dataset_paths, gen
-    )
+    ) or (None, None)
+    table1 = _Handed(table1, lambda: CountTable.load(pass1))
+    datasets = _Handed(datasets, lambda: [load_dataset(p) for p in dataset_paths])
 
     targets_path = out / "targets.txt"
     runner.stage(
         "targets",
         runner.artifact_digests("gen"),
         [targets_path],
-        lambda: run_targets(dataset_paths, targets_path),
+        lambda: run_targets(datasets(), targets_path),
     )
 
     pass2 = out / "counts" / "pass2" / "counts.tsv"
@@ -497,16 +514,10 @@ def run_pipeline(config: RunConfig, force: bool = False) -> RunManifest:
         "count_pass2",
         {**runner.artifact_digests("count_pass1"), **runner.artifact_digests("targets")},
         [pass2, pass2.with_suffix(".meta.json")],
-        lambda: _table(table1, pass1)
-        .select(counter.with_targets(load_targets(targets_path)))
-        .save(pass2),
+        lambda: table1().select(counter.with_targets(load_targets(targets_path))).save(pass2),
     )
     table1 = None  # count_pass2 was its one reader
-
-    def counts2() -> CountTable:  # eval and analyze share one parse of pass 2
-        nonlocal table2
-        table2 = _table(table2, pass2)
-        return table2
+    table2 = _Handed(table2, lambda: CountTable.load(pass2))  # for eval and analyze
 
     prompts_dir = out / "prompts"
     prompt_paths = [
@@ -519,7 +530,7 @@ def run_pipeline(config: RunConfig, force: bool = False) -> RunManifest:
         "prompts",
         {**runner.artifact_digests("gen"), "seed": str(config.seed)},
         prompt_paths,
-        lambda: run_prompts(dataset_paths, config.ks, config.seeds, config.seed, prompts_dir),
+        lambda: run_prompts(datasets(), config.ks, config.seeds, config.seed, prompts_dir),
     )
 
     records_path = out / "records" / "records.jsonl"
@@ -535,7 +546,7 @@ def run_pipeline(config: RunConfig, force: bool = False) -> RunManifest:
         lambda: run_eval(
             [b for p in prompt_paths for b in load_bundles(p)] if bundles is None else bundles,
             records_path, eval_inputs, config.mock, config.endpoint,
-            counts2() if config.mock is not None and config.mock.reads_counts else None,
+            table2() if config.mock is not None and config.mock.reads_counts else None,
         ),
     )
     bundles = None  # analyze's peak memory does not hold them
@@ -547,8 +558,8 @@ def run_pipeline(config: RunConfig, force: bool = False) -> RunManifest:
         [report_dir / "report.csv", report_dir / "report.json"],
         lambda: run_analyze(
             load_records(records_path) if records is None else records,
-            dataset_paths,
-            counts2(),
+            datasets(),
+            table2(),
             report_dir,
             config.label(),
             config.tasks,

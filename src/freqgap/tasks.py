@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 from .counting import CountTable, top_numbers
 from .terms import CONVERSION_MAX_DIGITS, CONVERSION_TASKS, key_str, parse_key, parse_term
 from .terms import term_set, term_str, term_value, unit_term
-from .util import atomic_open
+from .util import atomic_open, sorted_json
 
 
 class DatasetError(ValueError):
@@ -52,7 +52,7 @@ ARITH_X2_RANGE = range(1, 51)
 TOP_K = 200
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TaskInstance:
     """One reasoning question: input term codes, answer, stable identity."""
 
@@ -171,7 +171,7 @@ def render_shot_block(shots: Sequence[TaskInstance]) -> str:
     return "".join(render_prompt(s, with_answer=True) + "\n" for s in shots)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PromptBundle:
     """One test question plus its k answered in-context examples.
 
@@ -286,7 +286,7 @@ def _answered_record(inst: TaskInstance) -> dict:
 def save_dataset(instances: Sequence[TaskInstance], path: Path | str) -> None:
     with atomic_open(path) as f:
         for inst in instances:
-            f.write(json.dumps(_answered_record(inst), sort_keys=True) + "\n")
+            f.write(sorted_json(_answered_record(inst)) + "\n")
 
 
 def load_dataset(path: Path | str) -> list[TaskInstance]:
@@ -313,7 +313,7 @@ def save_bundles(bundles: Sequence[PromptBundle], path: Path | str) -> None:
                     index = set_index[id(b.shots)] = len(set_index)
                     record["shots"] = [_answered_record(s) for s in b.shots]
                 record["shot_set"] = index
-            f.write(json.dumps(record, sort_keys=True) + "\n")
+            f.write(sorted_json(record) + "\n")
 
 
 def load_bundles(path: Path | str) -> list[PromptBundle]:

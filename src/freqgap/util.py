@@ -15,6 +15,11 @@ def canonical_json(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
+# json.dumps(obj, sort_keys=True) with one encoder shared by every JSONL
+# writer; json.dumps builds a new encoder for each call.
+sorted_json = json.JSONEncoder(sort_keys=True).encode
+
+
 def sha256_text(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 

@@ -180,6 +180,24 @@ def test_freq_logistic_needs_counts():
         evaluate(_bundles(3), mock=MockPolicy("freq_logistic", a=1, b=-3))
 
 
+def test_a_mock_eval_returns_the_same_records_with_and_without_a_journal(tmp_path):
+    bundles = _bundles(12) + _bundles(12, k=0)
+    policy = MockPolicy("always_wrong")
+    plain = evaluate(bundles, mock=policy)
+    journal = tmp_path / "journal.jsonl"
+    assert evaluate(bundles[::-1], mock=policy, journal=journal) == plain
+    evaluate(bundles[:5], mock=policy, journal=journal)  # resume=False starts afresh
+    assert evaluate(bundles[::-1], mock=policy, journal=journal, resume=True) == plain
+    assert len(journal.read_text().splitlines()) == len(plain)
+
+
+def test_per_record_objects_have_no_instance_dict():
+    bundle = _bundles(1)[0]
+    record = evaluate([bundle], mock=MockPolicy("perfect"))[0]
+    for obj in (bundle.test_instance, bundle, record):
+        assert not hasattr(obj, "__dict__"), type(obj).__name__
+
+
 def test_journal_resume_drops_torn_last_line(tmp_path):
     bundles = _bundles(10)
     journal = tmp_path / "journal.jsonl"

@@ -534,6 +534,37 @@ def test_jsonl_skips_malformed_records(tmp_path):
     assert meta.skipped_documents == 3
 
 
+@pytest.mark.parametrize("block", [1, 5, 64])
+def test_byte_range_units_read_the_lines_of_a_plain_read(tmp_path, monkeypatch, block):
+    # A document longer than the block, an empty line, a non-ASCII one,
+    # and a last line without its newline; the cuts put range starts on
+    # every byte, inside lines and on line starts.
+    import json
+
+    import freqgap.corpus as corpus_mod
+    from freqgap.corpus import ReadStats, ShardUnit, iter_unit_documents
+
+    texts = ["1 2", "12 minutes make a longer line than any block " * 3, "x", "30 hours \u00e9"]
+    data = b"\n".join(json.dumps({"text": t}).encode() for t in texts[:2])
+    data += b"\n\n" + b"\n".join(json.dumps({"text": t}).encode() for t in texts[2:])
+    path = tmp_path / "data.jsonl"
+    path.write_bytes(data)
+    assert [json.loads(line)["text"] for line in data.splitlines() if line] == texts
+    monkeypatch.setattr(corpus_mod, "_READ_BLOCK", block)
+    size = len(data)
+    cut_lists = [[0, size]] + [[0, c, size] for c in range(1, size)]
+    cut_lists += [[0, c, c + 9, size] for c in range(1, size - 9, 7)]
+    for cuts in cut_lists:
+        stats = ReadStats()
+        read = [
+            text
+            for a, b in zip(cuts, cuts[1:])
+            for text in iter_unit_documents(ShardUnit(str(path), "jsonl", a, b), stats)
+        ]
+        assert read == texts, cuts
+        assert (stats.documents, stats.skipped) == (len(texts), 0)
+
+
 def test_merge_table_files(tmp_path):
     a = count_shard(["1 2"], CFG, corpus="a")
     b = count_shard(["2 3"], CFG, corpus="b")

@@ -19,7 +19,7 @@ from freqgap.pipeline import (
     scorer_digest,
     validate_config,
 )
-from freqgap.tasks import load_bundles, load_targets
+from freqgap.tasks import load_bundles, load_dataset, load_targets
 from freqgap.util import sha256_file
 
 BASE_CONFIG = {
@@ -455,6 +455,41 @@ def test_bundles_and_tables_pass_forward_and_files_are_read_only_after_a_skip(
     assert sorted(bundle_loads) == sorted((out / "prompts").glob("*.jsonl"))
     assert table_loads == [out / "counts" / "pass2" / "counts.tsv"]  # shared by eval, analyze
     assert {rel: (out / rel).read_bytes() for rel in outputs} == fresh
+
+
+def test_datasets_pass_forward_and_files_are_read_only_after_a_skip(
+    small_corpus, tmp_path, monkeypatch
+):
+    import freqgap.pipeline as pipeline_mod
+
+    loads = []
+
+    def counting_load_dataset(path):
+        loads.append(path)
+        return load_dataset(path)
+
+    monkeypatch.setattr(pipeline_mod, "load_dataset", counting_load_dataset)
+    out = tmp_path / "run"
+    config = _run_config(
+        small_corpus, out, mock="freq_logistic:1,-3,6", tasks=("mult", "hour_min"), seeds=1
+    )
+    first = run_pipeline(config).stages
+    assert loads == []
+
+    def outputs():
+        files = [out / "targets.txt", out / "report" / "report.json"]
+        files += sorted((out / "prompts").glob("*.jsonl"))
+        return {path: path.read_bytes() for path in files}
+
+    fresh = outputs()
+    (out / "targets.txt").unlink()
+    shutil.rmtree(out / "prompts")
+    shutil.rmtree(out / "report")
+    second = run_pipeline(config).stages
+    rerun = {n for n, st in second.items() if st["completed_at"] != first[n]["completed_at"]}
+    assert rerun == {"targets", "prompts", "analyze"}
+    assert loads == [out / "datasets" / "mult.jsonl", out / "datasets" / "hour_min.jsonl"]
+    assert outputs() == fresh
 
 
 def test_a_kill_at_any_commit_resumes_to_the_clean_run(tmp_path, monkeypatch):
