@@ -3,18 +3,21 @@
 
     python3 scripts/bench.py --number N
 
-Runs the benchmark's demo-run on its fixed seed twice from the root of
-the checkout, untraced for the end-to-end metrics and traced for the
-per-layer ones,
+Runs the benchmark from the root of the checkout, on its fixed seed:
+demo-run twice, untraced for the end-to-end metrics and traced for the
+per-layer ones, then count-sparse and eval-http untraced,
 
     python3 perfbench/run.py --workload demo-run --seed 1 --seconds 25 --trace 0
     python3 perfbench/run.py --workload demo-run --seed 1 --seconds 25 --trace 1
+    python3 perfbench/run.py --workload count-sparse --seed 1 --seconds 25 --trace 0
+    python3 perfbench/run.py --workload eval-http --seed 1 --seconds 25 --trace 0
 
 passes their output through, and writes their last stdout lines (the
 JSON results) with the machine's CPU count, the Python version and the
 checked-out commit (and whether tracked files differ from it) to
-BENCH_<N>.json in the root of the checkout: the traced run under
-"command" and "result", the untraced one under "end_to_end".
+BENCH_<N>.json in the root of the checkout: the traced demo-run under
+"command" and "result", the untraced one under "end_to_end", and the
+other two as {"command", "result"} under "workloads", by workload name.
 """
 
 from __future__ import annotations
@@ -44,9 +47,11 @@ def main() -> int:
     args = parser.parse_args()
 
     runs = {}
-    for trace in ("0", "1"):
+    for workload, trace in (
+        ("demo-run", "0"), ("demo-run", "1"), ("count-sparse", "0"), ("eval-http", "0")
+    ):
         command = [
-            sys.executable, "perfbench/run.py", "--workload", "demo-run",
+            sys.executable, "perfbench/run.py", "--workload", workload,
             "--seed", "1", "--seconds", "25", "--trace", trace,
         ]
         run = subprocess.run(command, cwd=ROOT, capture_output=True, text=True)
@@ -60,14 +65,15 @@ def main() -> int:
         if not isinstance(result, dict):
             print("bench: perfbench's last line is not a JSON object", file=sys.stderr)
             return 1
-        runs[trace] = {"command": ["python3", *command[1:]], "result": result}
+        runs[workload, trace] = {"command": ["python3", *command[1:]], "result": result}
     point = {
-        **runs["1"],
+        **runs["demo-run", "1"],
         "commit": _git("rev-parse", "HEAD"),
         "dirty": bool(_git("status", "--porcelain", "--untracked-files=no")),
-        "end_to_end": runs["0"],
+        "end_to_end": runs["demo-run", "0"],
         "nproc": os.cpu_count(),
         "python": platform.python_version(),
+        "workloads": {name: runs[name, "0"] for name in ("count-sparse", "eval-http")},
     }
     out = ROOT / f"BENCH_{args.number}.json"
     out.write_text(json.dumps(point, indent=1, sort_keys=True) + "\n")

@@ -10,6 +10,7 @@ order.
 
 from __future__ import annotations
 
+import http.client
 import json
 import logging
 import math
@@ -21,8 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Sequence
-
-import requests
+from urllib.parse import urlsplit
 
 from .counting import CountTable
 from .tasks import CONVERSION_TASKS, PromptBundle
@@ -206,22 +206,57 @@ def _record_sort_key(record: EvalRecord) -> tuple:
 class _HttpCompleter:
     """Thread-safe completion calls with retries and bounded backoff.
 
-    Connection-level failures that survive all attempts abort the run
-    (EndpointUnreachable); HTTP errors and malformed responses become
-    per-record error notes.
+    Each calling thread keeps one keep-alive connection, closed on any
+    failure so that the next attempt reconnects, and all of them are
+    closed by close().  Connection-level failures that survive all
+    attempts abort the run (EndpointUnreachable); HTTP errors and
+    malformed responses become per-record error notes.
     """
 
     def __init__(self, endpoint: EndpointConfig, sleep: Callable[[float], None] = time.sleep):
         self.endpoint = endpoint
         self._sleep = sleep
         self._local = threading.local()
+        self._opened: list[http.client.HTTPConnection] = []
+        url = urlsplit(endpoint.url)
+        if url.scheme not in ("http", "https"):
+            raise ValueError(f"endpoint URL must be http or https: {endpoint.url!r}")
+        self._connection_class = (
+            http.client.HTTPSConnection if url.scheme == "https" else http.client.HTTPConnection
+        )
+        self._host, self._port = url.hostname, url.port
+        self._path = (url.path or "/") + (f"?{url.query}" if url.query else "")
+        self._headers = {"Content-Type": "application/json"}
         token = os.environ.get(TOKEN_ENV_VAR)
-        self._headers = {"Authorization": f"Bearer {token}"} if token else {}
+        if token:
+            self._headers["Authorization"] = f"Bearer {token}"
 
-    def _session(self) -> requests.Session:
-        if not hasattr(self._local, "session"):
-            self._local.session = requests.Session()
-        return self._local.session
+    def _post(self, body: bytes) -> tuple[int, bytes]:
+        """Status and body of one POST on this thread's connection.  A
+        reset or broken pipe on a connection that has already served a
+        response means the server dropped it while idle: the request is
+        sent once more, on a fresh connection.  A closed connection
+        reopens on its next request."""
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = self._local.conn = self._connection_class(
+                self._host, self._port, timeout=self.endpoint.timeout
+            )
+            self._opened.append(conn)
+        while True:
+            reused = conn.sock is not None
+            try:
+                conn.request("POST", self._path, body, self._headers)
+                resp = conn.getresponse()
+                return resp.status, resp.read()
+            except BaseException as exc:
+                conn.close()
+                if not (reused and isinstance(exc, (ConnectionResetError, BrokenPipeError))):
+                    raise
+
+    def close(self) -> None:
+        for conn in self._opened:
+            conn.close()
 
     def complete(self, prompt: str) -> tuple[str, str | None]:
         """Return (raw_output, error_note); raises EndpointUnreachable."""
@@ -233,24 +268,23 @@ class _HttpCompleter:
             "temperature": ep.temperature,
             "stop": list(ep.stop_sequences),
         }
+        request_body = json.dumps(payload).encode()
         last_note = "unknown error"
         for attempt in range(ep.max_attempts):
             if attempt:
                 self._sleep(min(ep.backoff_base * 2 ** (attempt - 1), ep.backoff_max))
             try:
-                resp = self._session().post(
-                    ep.url, json=payload, headers=self._headers, timeout=ep.timeout
-                )
-            except (requests.ConnectionError, requests.Timeout) as exc:
+                status, data = self._post(request_body)
+            except (OSError, http.client.HTTPException) as exc:
                 last_note = f"connection failed: {exc.__class__.__name__}"
                 continue
-            if resp.status_code in (429,) or resp.status_code >= 500:
-                last_note = f"HTTP {resp.status_code}"
+            if status in (429,) or status >= 500:
+                last_note = f"HTTP {status}"
                 continue
-            if resp.status_code != 200:
-                return "", f"HTTP {resp.status_code}"
+            if status != 200:
+                return "", f"HTTP {status}"
             try:
-                body = resp.json()
+                body = json.loads(data)
                 if "choices" in body:
                     text = body["choices"][0]["text"]
                 else:
@@ -305,6 +339,7 @@ def evaluate(
         raise ValueError("exactly one of endpoint or mock must be given")
     if mock is not None and mock.reads_counts and counts is None:
         raise ValueError("freq_logistic mock needs a count table")
+    completer = _HttpCompleter(endpoint, sleep=sleep) if endpoint is not None else None
 
     records: list[EvalRecord] = []
     pending = bundles
@@ -336,7 +371,6 @@ def evaluate(
                 raw = mock_generate(bundle, freq, mock)
                 persist(_make_record(bundle, raw, None, 0.0))
         else:
-            completer = _HttpCompleter(endpoint, sleep=sleep)
 
             def run_one(bundle: PromptBundle) -> EvalRecord:
                 start = time.perf_counter()
@@ -356,6 +390,8 @@ def evaluate(
                             persist(f.result())
                     raise
     finally:
+        if completer is not None:
+            completer.close()
         if journal_file is not None:
             journal_file.close()
 

@@ -1,13 +1,20 @@
+import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 import threading
 import time
 from collections import defaultdict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
+import freqgap
 from freqgap.client import (
+    TOKEN_ENV_VAR,
     EndpointConfig,
     EndpointUnreachable,
     MockPolicy,
@@ -22,7 +29,7 @@ from freqgap.client import (
     score,
     sigmoid,
 )
-from freqgap.tasks import build_fewshot_prompts, make_instance
+from freqgap.tasks import build_fewshot_prompts, load_bundles, make_instance, save_bundles
 from freqgap.terms import term_set, unit_term
 
 NO_SLEEP = lambda _t: None
@@ -268,6 +275,12 @@ def test_endpoint_url_building():
     )
 
 
+def test_endpoint_url_must_be_http_or_https(tmp_path):
+    with pytest.raises(ValueError, match="http or https"):
+        evaluate(_bundles(1), endpoint=EndpointConfig("ftp://h", "m"), journal=tmp_path / "j")
+    assert not (tmp_path / "j").exists()  # rejected before the journal is opened
+
+
 # --- stub HTTP server ------------------------------------------------------
 
 
@@ -282,6 +295,10 @@ class StubState:
         self.always_fail = False
         self.malformed = False
         self.delay = 0.0
+        self.drop_after_response = False  # close without "Connection: close"
+        self.authorization = []  # the Authorization header of each request
+        self.connections = 0
+        self.open_connections = 0
 
     def answer(self, prompt: str) -> str:
         question = re.findall(r"What is (\d+) times (\d+)\?", prompt)[-1]
@@ -294,47 +311,71 @@ class _StubHandler(BaseHTTPRequestHandler):
     def log_message(self, *args):
         pass
 
+    def setup(self):
+        super().setup()
+        with self.state.lock:
+            self.state.connections += 1
+            self.state.open_connections += 1
+
+    def finish(self):
+        try:
+            super().finish()
+        finally:
+            with self.state.lock:
+                self.state.open_connections -= 1
+
     def do_POST(self):
         state = self.state
         with state.lock:
             state.in_flight += 1
             state.max_in_flight = max(state.max_in_flight, state.in_flight)
             state.requests += 1
+            state.authorization.append(self.headers.get("Authorization"))
         try:
-            length = int(self.headers["Content-Length"])
-            body = json.loads(self.rfile.read(length))
-            prompt = body["prompt"]
-            if state.delay:
-                time.sleep(state.delay)
-            x1 = int(re.findall(r"What is (\d+) times", prompt)[-1])
-            with state.lock:
-                state.attempts[prompt] += 1
-                first = state.attempts[prompt] == 1
-            if state.always_fail or (
-                state.fail_first_attempt_every
-                and first
-                and x1 % state.fail_first_attempt_every == 0
-            ):
-                self.send_response(503)
-                self.end_headers()
-                return
-            if state.malformed:
-                payload = b"not json"
-            else:
-                payload = json.dumps({"choices": [{"text": state.answer(prompt)}]}).encode()
-            self.send_response(200)
-            self.send_header("Content-Type", "application/json")
-            self.end_headers()
-            self.wfile.write(payload)
+            status, payload = self._reply()
         finally:
+            # before the reply goes out: a client that has read a reply of
+            # known length may send its next request at once
             with state.lock:
                 state.in_flight -= 1
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(payload)))
+        self.end_headers()
+        self.wfile.write(payload)
+        if state.drop_after_response:
+            self.close_connection = True
+
+    def _reply(self) -> tuple[int, bytes]:
+        state = self.state
+        length = int(self.headers["Content-Length"])
+        body = json.loads(self.rfile.read(length))
+        prompt = body["prompt"]
+        if state.delay:
+            time.sleep(state.delay)
+        x1 = int(re.findall(r"What is (\d+) times", prompt)[-1])
+        with state.lock:
+            state.attempts[prompt] += 1
+            first = state.attempts[prompt] == 1
+        if state.always_fail or (
+            state.fail_first_attempt_every
+            and first
+            and x1 % state.fail_first_attempt_every == 0
+        ):
+            return 503, b""
+        if state.malformed:
+            return 200, b"not json"
+        return 200, json.dumps({"choices": [{"text": state.answer(prompt)}]}).encode()
 
 
-@pytest.fixture
-def stub():
+def _serve(protocol_version):
     state = StubState()
-    handler = type("Handler", (_StubHandler,), {"state": state})
+    handler = type(
+        "Handler",
+        (_StubHandler,),
+        # no Nagle: a keep-alive reply's body would wait on a delayed ACK
+        {"state": state, "protocol_version": protocol_version, "disable_nagle_algorithm": True},
+    )
     server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -343,6 +384,18 @@ def stub():
     finally:
         server.shutdown()
         server.server_close()
+
+
+@pytest.fixture
+def stub():
+    """An HTTP/1.0 stub: every reply closes its connection."""
+    yield from _serve("HTTP/1.0")
+
+
+@pytest.fixture
+def keep_alive_stub():
+    """An HTTP/1.1 stub that keeps connections open between requests."""
+    yield from _serve("HTTP/1.1")
 
 
 def _endpoint(url, **kwargs):
@@ -442,3 +495,85 @@ def test_completion_order_independence(stub):
             [(r.instance_id, r.k, r.seed, r.raw_output, r.extracted, r.correct) for r in records]
         )
     assert runs[0] == runs[1]
+
+
+def test_http_eval_keeps_one_connection_per_slot_and_closes_them(keep_alive_stub):
+    state, url = keep_alive_stub
+    records = evaluate(_bundles(40), endpoint=_endpoint(url, max_in_flight=4), sleep=NO_SLEEP)
+    assert all(r.correct for r in records)
+    assert state.requests == 40
+    assert state.connections <= 4
+    deadline = time.monotonic() + 5.0
+    while state.open_connections and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert state.open_connections == 0
+
+
+def test_http_eval_resends_once_on_a_dropped_keep_alive_connection(keep_alive_stub):
+    # the server closes each connection after its reply without saying
+    # so, and every next request on it meets a dead socket
+    state, url = keep_alive_stub
+    state.drop_after_response = True
+    bundles = _bundles(30)
+    endpoint = _endpoint(url, max_in_flight=1, max_attempts=1)
+    records = evaluate(bundles, endpoint=endpoint, sleep=NO_SLEEP)
+    assert all(r.error is None and r.correct for r in records)
+    assert state.requests == len(bundles)
+
+
+def test_http_eval_sends_the_bearer_token_from_the_environment(stub, monkeypatch):
+    state, url = stub
+    monkeypatch.setenv(TOKEN_ENV_VAR, "s3cret")
+    evaluate(_bundles(6), endpoint=_endpoint(url), sleep=NO_SLEEP)
+    assert state.authorization == ["Bearer s3cret"] * 6
+    monkeypatch.delenv(TOKEN_ENV_VAR)
+    evaluate(_bundles(6), endpoint=_endpoint(url), sleep=NO_SLEEP)
+    assert state.authorization[6:] == [None] * 6
+
+
+_KILLED_EVAL = """
+import sys
+from freqgap.client import EndpointConfig, evaluate
+from freqgap.tasks import load_bundles
+
+url, bundles, journal = sys.argv[1:]
+endpoint = EndpointConfig(url, "stub-model", max_in_flight=4, backoff_base=0.0, timeout=5.0)
+evaluate(load_bundles(bundles), endpoint=endpoint, journal=journal, resume=True)
+"""
+
+
+def test_a_killed_endpoint_eval_resumes_to_the_same_records(keep_alive_stub, tmp_path):
+    state, url = keep_alive_stub
+    state.delay = 0.005
+    save_bundles(_bundles(150), tmp_path / "bundles.jsonl")
+    bundles = load_bundles(tmp_path / "bundles.jsonl")
+    clean = evaluate(bundles, endpoint=_endpoint(url), sleep=NO_SLEEP)
+    requests_before = state.requests
+
+    journal = tmp_path / "journal.jsonl"
+    src = str(Path(freqgap.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    argv = [sys.executable, "-c", _KILLED_EVAL, url, str(tmp_path / "bundles.jsonl"), str(journal)]
+    proc = subprocess.Popen(argv, env=env)
+    try:
+        deadline = time.monotonic() + 60.0
+        while not journal.exists() or journal.read_bytes().count(b"\n") < len(bundles) // 3:
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.001)
+    finally:
+        proc.kill()
+        proc.wait(timeout=10)
+    assert journal.read_bytes().count(b"\n") < len(bundles)  # killed mid-run
+
+    resumed = evaluate(
+        bundles, endpoint=_endpoint(url), journal=journal, resume=True, sleep=NO_SLEEP
+    )
+    without_latency = lambda records: [dataclasses.replace(r, latency=0.0) for r in records]
+    assert without_latency(resumed) == without_latency(clean)
+    text = journal.read_text()
+    assert text.endswith("\n")
+    assert len([json.loads(line) for line in text.splitlines()]) == len(bundles)
+    # lost to the kill: requests in flight and results not yet journaled,
+    # fewer than twice max_in_flight (4, here and in the subprocess)
+    assert 0 <= state.requests - requests_before - len(bundles) < 2 * 4
