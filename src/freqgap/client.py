@@ -35,6 +35,11 @@ TOKEN_ENV_VAR = "FREQGAP_API_TOKEN"
 
 MOCK_KINDS = ("perfect", "always_wrong", "freq_logistic")
 
+# Every request decodes greedily and stops at the end of the answer line.
+TEMPERATURE = 0.0
+STOP_SEQUENCES = ("\n", "Q:")
+BACKOFF_MAX = 8.0  # seconds; the cap of the exponential backoff
+
 
 class EndpointUnreachable(RuntimeError):
     """The endpoint stayed unreachable through all retries; partial results stand."""
@@ -45,12 +50,9 @@ class EndpointConfig:
     base_url: str
     model_name: str
     max_new_tokens: int = 8
-    temperature: float = 0.0  # greedy decoding, deliberately not tunable
-    stop_sequences: tuple[str, ...] = ("\n", "Q:")
     max_in_flight: int = 4
     max_attempts: int = 4
     backoff_base: float = 0.5
-    backoff_max: float = 8.0
     timeout: float = 30.0
     completions_path: str = "/v1/completions"
 
@@ -58,8 +60,6 @@ class EndpointConfig:
         for name in ("max_new_tokens", "max_in_flight", "max_attempts"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.temperature != 0.0:
-            raise ValueError("decoding is greedy; temperature must be 0")
 
     @property
     def url(self) -> str:
@@ -195,10 +195,6 @@ def apply_stop_sequences(text: str, stops: Sequence[str]) -> str:
     return text
 
 
-def _record_key(instance_id: str, k: int, seed: int) -> tuple:
-    return (instance_id, k, seed)
-
-
 def _record_sort_key(record: EvalRecord) -> tuple:
     return (record.task_id, record.k, record.seed, record.instance_id)
 
@@ -265,14 +261,14 @@ class _HttpCompleter:
             "model": ep.model_name,
             "prompt": prompt,
             "max_tokens": ep.max_new_tokens,
-            "temperature": ep.temperature,
-            "stop": list(ep.stop_sequences),
+            "temperature": TEMPERATURE,
+            "stop": list(STOP_SEQUENCES),
         }
         request_body = json.dumps(payload).encode()
         last_note = "unknown error"
         for attempt in range(ep.max_attempts):
             if attempt:
-                self._sleep(min(ep.backoff_base * 2 ** (attempt - 1), ep.backoff_max))
+                self._sleep(min(ep.backoff_base * 2 ** (attempt - 1), BACKOFF_MAX))
             try:
                 status, data = self._post(request_body)
             except (OSError, http.client.HTTPException) as exc:
@@ -293,7 +289,7 @@ class _HttpCompleter:
                     raise TypeError
             except (ValueError, KeyError, IndexError, TypeError):
                 return "", "malformed response body"
-            return apply_stop_sequences(text, ep.stop_sequences), None
+            return apply_stop_sequences(text, STOP_SEQUENCES), None
         if last_note.startswith("connection failed"):
             raise EndpointUnreachable(
                 f"{ep.url} unreachable after {ep.max_attempts} attempts ({last_note})"
@@ -345,13 +341,9 @@ def evaluate(
     pending = bundles
     journal_path = Path(journal) if journal is not None else None
     if journal_path is not None and resume and journal_path.exists():
-        done = {_record_key(r.instance_id, r.k, r.seed): r for r in _read_journal(journal_path)}
+        done = {(r.instance_id, r.k, r.seed): r for r in _read_journal(journal_path)}
         records = list(done.values())
-        pending = [
-            b
-            for b in bundles
-            if _record_key(b.test_instance.instance_id, b.k, b.seed) not in done
-        ]
+        pending = [b for b in bundles if (b.test_instance.instance_id, b.k, b.seed) not in done]
 
     journal_file = None
     if journal_path is not None:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import time
 from dataclasses import MISSING, asdict, dataclass, field
 from pathlib import Path
@@ -278,6 +279,20 @@ def _corpus_signature(config: RunConfig) -> str:
     return sha256_text(canonical_json(listing))
 
 
+class _Handed:
+    """What a stage hands the stages after it: its result, or, when it
+    was skipped or returned None, load() read at most once."""
+
+    def __init__(self, result: Any, load: Callable[[], Any]):
+        self.result = result
+        self.load = load
+
+    def __call__(self) -> Any:
+        if self.result is None:
+            self.result = self.load()
+        return self.result
+
+
 class _Runner:
     def __init__(self, out: Path, manifest: RunManifest):
         self.out = out
@@ -289,9 +304,10 @@ class _Runner:
         inputs: dict[str, str],
         artifacts: list[Path],
         run: Callable[[], Any],
-    ) -> Any:
-        """run() and record its artifacts; return its result, or None when
-        the stage is up to date and skipped."""
+        load: Callable[[], Any] = lambda: None,
+    ) -> _Handed:
+        """run() and record its artifacts, unless the stage is up to date
+        and skipped; hand forward run()'s result, or else load()'s."""
         recorded = self.manifest.stages.get(name)
         rels = [str(p.relative_to(self.out)) for p in artifacts]
         if recorded is not None and recorded.get("inputs") == inputs:
@@ -301,7 +317,7 @@ class _Runner:
                 for rel, digest in existing.items()
             ):
                 log.info("stage %s: up to date, skipping", name)
-                return None
+                return _Handed(None, load)
         log.info("stage %s: running", name)
         started = time.time()
         result = run()
@@ -318,7 +334,7 @@ class _Runner:
         }
         with atomic_open(self.out / "manifest.json") as f:
             f.write(canonical_json(asdict(self.manifest)))
-        return result
+        return _Handed(result, load)
 
     def artifact_digests(self, name: str) -> dict[str, str]:
         return dict(self.manifest.stages[name]["artifacts"])
@@ -389,25 +405,34 @@ def run_eval(
     """Score the bundles into records_path; counts are the freq_logistic
     mock's table.
 
-    An endpoint eval journals beside it; `inputs` fingerprints what the
-    records depend on (prompt files, count table, scorer), and a journal
-    written under other inputs is discarded.  A mock is deterministic and
+    An endpoint eval journals beside records_path until records_path is
+    written.  `inputs` fingerprints what the records depend on (prompt
+    files, count table, scorer) in journal.inputs.json: under the same
+    inputs an eval resumes from the journal, or else from records_path;
+    under other inputs both are discarded.  A mock is deterministic and
     scoring it again is cheaper than writing every record twice, so it
-    keeps no journal.
+    keeps no journal, and it removes the fingerprint of the records it
+    replaces.
     """
-    journal = None
-    if endpoint is not None:
-        journal = records_path.with_name("journal.jsonl")
-        journal_inputs = records_path.with_name("journal.inputs.json")
-        current = canonical_json(inputs)
-        if not (journal_inputs.exists() and journal_inputs.read_text() == current):
-            journal.unlink(missing_ok=True)
-        with atomic_open(journal_inputs) as f:
-            f.write(current)
+    journal = records_path.with_name("journal.jsonl")
+    fingerprint = records_path.with_name("journal.inputs.json")
+    current = canonical_json(inputs) if endpoint is not None else None
+    if fingerprint.exists() and fingerprint.read_text() == current:
+        if not journal.exists() and records_path.exists():
+            os.replace(records_path, journal)
+    else:
+        fingerprint.unlink(missing_ok=True)
+        journal.unlink(missing_ok=True)
+        if endpoint is not None:
+            records_path.unlink(missing_ok=True)
+            with atomic_open(fingerprint) as f:
+                f.write(current)
     records = evaluate(
-        bundles, endpoint=endpoint, mock=mock, counts=counts, journal=journal, resume=resume
+        bundles, endpoint=endpoint, mock=mock, counts=counts, resume=resume,
+        journal=journal if endpoint is not None else None,
     )
     save_records(records, records_path)
+    journal.unlink(missing_ok=True)
     return records
 
 
@@ -435,20 +460,6 @@ def run_analyze(
         ks = sorted({r.k for r in records})
     reports = build_report(records, instances, counts, tasks, ks, keys, bins)
     write_report(reports, out_dir, label=label)
-
-
-class _Handed:
-    """A producer stage's result, or, when that stage was skipped and
-    handed None, its files read at most once."""
-
-    def __init__(self, result: Any, read: Callable[[], Any]):
-        self.result = result
-        self.read = read
-
-    def __call__(self) -> Any:
-        if self.result is None:
-            self.result = self.read()
-        return self.result
 
 
 def run_pipeline(config: RunConfig, force: bool = False) -> RunManifest:
@@ -479,27 +490,25 @@ def run_pipeline(config: RunConfig, force: bool = False) -> RunManifest:
     base_inputs = {"corpus": corpus_sig, "config": config_digest}
 
     pass1 = out / "counts" / "pass1" / "counts.tsv"
-    runner.stage(
+
+    def count_pass1() -> None:  # gen or count_pass2, whichever runs first, loads the table
+        count_corpus(config.corpus_path, config.corpus_format, counter, pass1, shards=config.shards)
+
+    table1 = runner.stage(
         "count_pass1",
         {**base_inputs, "counter": counter.digest()},
         [pass1, pass1.with_suffix(".meta.json")],
-        lambda: count_corpus(
-            config.corpus_path, config.corpus_format, counter, pass1, shards=config.shards
-        ),
+        count_pass1,
+        load=lambda: CountTable.load(pass1),
     )
 
     datasets_dir = out / "datasets"
     dataset_paths = [_dataset_file(datasets_dir, t) for t in config.tasks]
-
-    def gen() -> tuple[CountTable, Datasets]:  # its table goes on to count_pass2
-        table = CountTable.load(pass1)
-        return table, run_gen(table, config.tasks, datasets_dir)
-
-    table1, datasets = runner.stage(
-        "gen", {**base_inputs, **runner.artifact_digests("count_pass1")}, dataset_paths, gen
-    ) or (None, None)
-    table1 = _Handed(table1, lambda: CountTable.load(pass1))
-    datasets = _Handed(datasets, lambda: [load_dataset(p) for p in dataset_paths])
+    datasets = runner.stage(
+        "gen", {**base_inputs, **runner.artifact_digests("count_pass1")}, dataset_paths,
+        lambda: run_gen(table1(), config.tasks, datasets_dir),
+        load=lambda: [load_dataset(p) for p in dataset_paths],
+    )
 
     targets_path = out / "targets.txt"
     runner.stage(
@@ -510,14 +519,14 @@ def run_pipeline(config: RunConfig, force: bool = False) -> RunManifest:
     )
 
     pass2 = out / "counts" / "pass2" / "counts.tsv"
-    table2 = runner.stage(
+    table2 = runner.stage(  # for eval and analyze
         "count_pass2",
         {**runner.artifact_digests("count_pass1"), **runner.artifact_digests("targets")},
         [pass2, pass2.with_suffix(".meta.json")],
         lambda: table1().select(counter.with_targets(load_targets(targets_path))).save(pass2),
+        load=lambda: CountTable.load(pass2),
     )
-    table1 = None  # count_pass2 was its one reader
-    table2 = _Handed(table2, lambda: CountTable.load(pass2))  # for eval and analyze
+    table1 = None  # count_pass2 was its last reader
 
     prompts_dir = out / "prompts"
     prompt_paths = [
@@ -531,6 +540,7 @@ def run_pipeline(config: RunConfig, force: bool = False) -> RunManifest:
         {**runner.artifact_digests("gen"), "seed": str(config.seed)},
         prompt_paths,
         lambda: run_prompts(datasets(), config.ks, config.seeds, config.seed, prompts_dir),
+        load=lambda: [b for p in prompt_paths for b in load_bundles(p)],
     )
 
     records_path = out / "records" / "records.jsonl"
@@ -544,10 +554,10 @@ def run_pipeline(config: RunConfig, force: bool = False) -> RunManifest:
         eval_inputs,
         [records_path],
         lambda: run_eval(
-            [b for p in prompt_paths for b in load_bundles(p)] if bundles is None else bundles,
-            records_path, eval_inputs, config.mock, config.endpoint,
+            bundles(), records_path, eval_inputs, config.mock, config.endpoint,
             table2() if config.mock is not None and config.mock.reads_counts else None,
         ),
+        load=lambda: load_records(records_path),
     )
     bundles = None  # analyze's peak memory does not hold them
 
@@ -557,14 +567,8 @@ def run_pipeline(config: RunConfig, force: bool = False) -> RunManifest:
         {**runner.artifact_digests("eval"), **runner.artifact_digests("count_pass2")},
         [report_dir / "report.csv", report_dir / "report.json"],
         lambda: run_analyze(
-            load_records(records_path) if records is None else records,
-            datasets(),
-            table2(),
-            report_dir,
-            config.label(),
-            config.tasks,
-            config.ks,
-            bins=config.bins,
+            records(), datasets(), table2(), report_dir, config.label(), config.tasks,
+            config.ks, bins=config.bins,
         ),
     )
 

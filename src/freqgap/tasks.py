@@ -176,15 +176,17 @@ class PromptBundle:
     """One test question plus its k answered in-context examples.
 
     The bundles of one shot draw share its shots and its rendered
-    shot_block.  A bundle read from a line that stores its whole prompt
-    has the block but not the shots, so k is an explicit field.
+    shot_block; k is the number of shots.
     """
 
     test_instance: TaskInstance
     shots: tuple[TaskInstance, ...]
     seed: int
-    k: int
     shot_block: str
+
+    @property
+    def k(self) -> int:
+        return len(self.shots)
 
     @property
     def gold(self) -> int:
@@ -226,7 +228,7 @@ def build_fewshot_prompts(
     shots = tuple(dataset[i] for i in draw)
     shot_block = render_shot_block(shots)
     return [
-        PromptBundle(instance, shots, seed, k, shot_block)
+        PromptBundle(instance, shots, seed, shot_block)
         for i, instance in enumerate(dataset)
         if i not in shot_set
     ]
@@ -296,45 +298,39 @@ def load_dataset(path: Path | str) -> list[TaskInstance]:
 
 def save_bundles(bundles: Sequence[PromptBundle], path: Path | str) -> None:
     """One bundle per line (layout in README.md): the test instance, so
-    evaluation runs without a dataset join, and the index of its shot
-    set, whose instances the set's first line carries.  A bundle read
-    without its shots keeps its whole prompt."""
+    evaluation runs without a dataset join, its k, and the index of its
+    shot set, whose instances the set's first line carries."""
     set_index: dict[int, int] = {}  # id(bundle.shots) -> shot_set
     with atomic_open(path) as f:
         for b in bundles:
             record = {
                 **_instance_record(b.test_instance), "seed": b.seed, "k": b.k, "gold": b.gold
             }
-            if len(b.shots) != b.k:
-                record["prompt"] = b.rendered
-            else:
-                index = set_index.get(id(b.shots))
-                if index is None:
-                    index = set_index[id(b.shots)] = len(set_index)
-                    record["shots"] = [_answered_record(s) for s in b.shots]
-                record["shot_set"] = index
+            index = set_index.get(id(b.shots))
+            if index is None:
+                index = set_index[id(b.shots)] = len(set_index)
+                record["shots"] = [_answered_record(s) for s in b.shots]
+            record["shot_set"] = index
             f.write(sorted_json(record) + "\n")
 
 
 def load_bundles(path: Path | str) -> list[PromptBundle]:
-    """Bundles of a save_bundles file; a line may also carry its whole
-    prompt instead of a shot set, as every line did before shot sets."""
+    """Bundles of a save_bundles file.  Raises DatasetError on a line
+    without a shot set read at or before it, or whose k is not its set's
+    number of shots."""
     shot_sets: dict[int, tuple[tuple[TaskInstance, ...], str]] = {}
     bundles = []
     with open(path, encoding="utf-8") as f:
-        for rec in map(json.loads, f):
+        for line, rec in enumerate(map(json.loads, f), 1):
+            if "shots" in rec and "shot_set" in rec:
+                shots = tuple(_instance_from_record(s, s["y"]) for s in rec["shots"])
+                shot_sets[rec["shot_set"]] = (shots, render_shot_block(shots))
+            shot_set = shot_sets.get(rec.get("shot_set"))
+            if shot_set is None or len(shot_set[0]) != rec["k"]:
+                raise DatasetError(f"{path}: line {line} names no shot set of its k={rec['k']}")
+            shots, block = shot_set
             inst = _instance_from_record(rec, rec["gold"])
-            if "prompt" in rec:
-                question = render_prompt(inst, with_answer=False)
-                if not rec["prompt"].endswith(question):
-                    raise DatasetError(f"{path}: a prompt does not end with its question")
-                shots, block = (), rec["prompt"][: -len(question)]
-            else:
-                if "shots" in rec:
-                    shots = tuple(_instance_from_record(s, s["y"]) for s in rec["shots"])
-                    shot_sets[rec["shot_set"]] = (shots, render_shot_block(shots))
-                shots, block = shot_sets[rec["shot_set"]]
-            bundles.append(PromptBundle(inst, shots, rec["seed"], rec["k"], block))
+            bundles.append(PromptBundle(inst, shots, rec["seed"], block))
     return bundles
 
 

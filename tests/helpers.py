@@ -1,4 +1,5 @@
-"""Shared test helpers: the brute-force counting oracle and corpus builders.
+"""Shared test helpers: the brute-force counting oracle, corpus builders
+and a stub completion endpoint.
 
 The oracle enumerates position pairs and triples directly from the
 reference tokenizer and term extractor, so it shares no windowing or
@@ -7,7 +8,13 @@ aggregation code with the production counter.
 
 from __future__ import annotations
 
+import json
 import random
+import re
+import threading
+import time
+from collections import defaultdict
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from freqgap.counting import NN_PAIR_MAX, CounterConfig, extract_term
 from freqgap.terms import CONVERSION_TASKS, UNIT_BASE, unit_term
@@ -111,3 +118,115 @@ def random_corpus(rng: random.Random, n_docs: int, max_tokens: int = 60) -> list
         sep = "\n" if rng.random() < 0.1 else " "
         docs.append(sep.join(random_token(rng) for _ in range(n)))
     return docs
+
+
+# --- a stub completion endpoint -------------------------------------------
+
+# "hours" -> 60: the factor of each conversion by its source unit's plural
+_FACTORS = {unit + "s": factor for unit, factor in CONVERSION_TASKS.values()}
+
+
+class StubState:
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.in_flight = 0
+        self.max_in_flight = 0
+        self.requests = 0
+        self.attempts = defaultdict(int)
+        self.fail_first_attempt_every = 0  # 10 -> every 10th question fails once
+        self.always_fail = False
+        self.malformed = False
+        self.wrong = False  # answer gold + 1
+        self.delay = 0.0
+        self.drop_after_response = False  # close without "Connection: close"
+        self.authorization = []  # the Authorization header of each request
+        self.connections = 0
+        self.open_connections = 0
+
+    def answer(self, prompt: str) -> str:
+        """The answer to the prompt's last question, a product or a conversion."""
+        x1, x2, unit = re.findall(r"What is (\d+) (?:times (\d+)|(\w+) in \w+)\?", prompt)[-1]
+        gold = int(x1) * (int(x2) if x2 else _FACTORS[unit])
+        return f" {gold + self.wrong}"
+
+
+class StubHandler(BaseHTTPRequestHandler):
+    state: StubState
+
+    def log_message(self, *args):
+        pass
+
+    def setup(self):
+        super().setup()
+        with self.state.lock:
+            self.state.connections += 1
+            self.state.open_connections += 1
+
+    def finish(self):
+        try:
+            super().finish()
+        finally:
+            with self.state.lock:
+                self.state.open_connections -= 1
+
+    def do_POST(self):
+        state = self.state
+        with state.lock:
+            state.in_flight += 1
+            state.max_in_flight = max(state.max_in_flight, state.in_flight)
+            state.requests += 1
+            state.authorization.append(self.headers.get("Authorization"))
+        try:
+            status, payload = self._reply()
+        finally:
+            # before the reply goes out: a client that has read a reply of
+            # known length may send its next request at once
+            with state.lock:
+                state.in_flight -= 1
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(payload)))
+        self.end_headers()
+        self.wfile.write(payload)
+        if state.drop_after_response:
+            self.close_connection = True
+
+    def _reply(self) -> tuple[int, bytes]:
+        state = self.state
+        length = int(self.headers["Content-Length"])
+        body = json.loads(self.rfile.read(length))
+        prompt = body["prompt"]
+        if state.delay:
+            time.sleep(state.delay)
+        x1 = int(re.findall(r"What is (\d+)", prompt)[-1])
+        with state.lock:
+            state.attempts[prompt] += 1
+            first = state.attempts[prompt] == 1
+        if state.always_fail or (
+            state.fail_first_attempt_every
+            and first
+            and x1 % state.fail_first_attempt_every == 0
+        ):
+            return 503, b""
+        if state.malformed:
+            return 200, b"not json"
+        return 200, json.dumps({"choices": [{"text": state.answer(prompt)}]}).encode()
+
+
+def serve_stub(protocol_version):
+    """Yield (state, base URL) of a stub served until the generator closes."""
+    state = StubState()
+    handler = type(
+        "Handler",
+        (StubHandler,),
+        # no Nagle: a keep-alive reply's body would wait on a delayed ACK
+        {"state": state, "protocol_version": protocol_version, "disable_nagle_algorithm": True},
+    )
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield state, f"http://127.0.0.1:{server.server_port}"
+    finally:
+        server.shutdown()
+        server.server_close()

@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import pytest
 
 from freqgap.cli import main
+from freqgap.client import load_records
 from freqgap.counting import CountTable
 
 
@@ -129,14 +131,43 @@ def test_cli_chain_matches_run(workspace, tmp_path):
     assert run_report.read_bytes() == (cli_report / "report.json").read_bytes()
 
 
-def test_cli_eval_discards_journal_of_another_scorer(workspace, tmp_path):
+def _eval_endpoint(workspace, out, url, model):
+    # one small prompt file: the stub answers products and conversions
+    bundles = workspace / "prompts" / "hour_min_k2_seed0.jsonl"
+    argv = ["eval", "--bundles", str(bundles), "--out", str(out), "--endpoint", url]
+    return main(argv + ["--model", model])
+
+
+def test_cli_eval_discards_journal_of_another_scorer(workspace, tmp_path, stub):
+    state, url = stub
     out = tmp_path / "results"
-    for mock in ("perfect", "always_wrong"):
-        assert main([
-            "eval", "--bundles", str(workspace / "prompts"), "--mock", mock, "--out", str(out),
-        ]) == 0
-    records = [json.loads(line) for line in (out / "records.jsonl").read_text().splitlines()]
-    assert records and not any(r["correct"] for r in records)
+    assert _eval_endpoint(workspace, out, url, "a") == 0
+    state.wrong = True  # model b answers every question wrong
+    assert _eval_endpoint(workspace, out, url, "b") == 0
+    records = load_records(out)
+    assert records and not any(r.correct for r in records)
+    assert state.requests == 2 * len(records)
+
+
+def test_cli_endpoint_eval_after_a_mock_eval_scores_every_bundle_again(
+    workspace, tmp_path, stub
+):
+    # the mock's records must not resume as the endpoint's
+    state, url = stub
+    out = tmp_path / "results"
+    assert _eval_endpoint(workspace, out, url, "m") == 0
+    first = load_records(out)
+    assert state.requests == len(first)
+    assert sorted(p.name for p in out.iterdir()) == ["journal.inputs.json", "records.jsonl"]
+    bundles = str(workspace / "prompts" / "hour_min_k2_seed0.jsonl")
+    assert main(["eval", "--bundles", bundles, "--mock", "perfect", "--out", str(out)]) == 0
+    assert [p.name for p in out.iterdir()] == ["records.jsonl"]
+    assert _eval_endpoint(workspace, out, url, "m") == 0
+    records = load_records(out)
+    assert state.requests == 2 * len(first)
+    assert all(r.correct and r.latency > 0 for r in records)
+    without_latency = lambda rs: [dataclasses.replace(r, latency=0.0) for r in rs]
+    assert without_latency(records) == without_latency(first)
 
 
 # --- exit codes ---------------------------------------------------------------

@@ -1,13 +1,9 @@
 import dataclasses
 import json
 import os
-import re
 import subprocess
 import sys
-import threading
 import time
-from collections import defaultdict
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -116,7 +112,7 @@ def test_primary_term_set():
 def _wrap_bundle(inst):
     from freqgap.tasks import PromptBundle
 
-    return PromptBundle(inst, (), seed=0, k=0, shot_block="")
+    return PromptBundle(inst, (), seed=0, shot_block="")
 
 
 def test_freq_logistic_matches_closed_form():
@@ -261,8 +257,6 @@ def test_records_directory_form_skips_the_journal(tmp_path):
 def test_endpoint_config_validation():
     with pytest.raises(ValueError):
         EndpointConfig("http://x", "m", max_in_flight=0)
-    with pytest.raises(ValueError):
-        EndpointConfig("http://x", "m", temperature=0.7)
 
 
 def test_endpoint_url_building():
@@ -281,121 +275,7 @@ def test_endpoint_url_must_be_http_or_https(tmp_path):
     assert not (tmp_path / "j").exists()  # rejected before the journal is opened
 
 
-# --- stub HTTP server ------------------------------------------------------
-
-
-class StubState:
-    def __init__(self):
-        self.lock = threading.Lock()
-        self.in_flight = 0
-        self.max_in_flight = 0
-        self.requests = 0
-        self.attempts = defaultdict(int)
-        self.fail_first_attempt_every = 0  # 10 -> every 10th question fails once
-        self.always_fail = False
-        self.malformed = False
-        self.delay = 0.0
-        self.drop_after_response = False  # close without "Connection: close"
-        self.authorization = []  # the Authorization header of each request
-        self.connections = 0
-        self.open_connections = 0
-
-    def answer(self, prompt: str) -> str:
-        question = re.findall(r"What is (\d+) times (\d+)\?", prompt)[-1]
-        return f" {int(question[0]) * int(question[1])}"
-
-
-class _StubHandler(BaseHTTPRequestHandler):
-    state: StubState
-
-    def log_message(self, *args):
-        pass
-
-    def setup(self):
-        super().setup()
-        with self.state.lock:
-            self.state.connections += 1
-            self.state.open_connections += 1
-
-    def finish(self):
-        try:
-            super().finish()
-        finally:
-            with self.state.lock:
-                self.state.open_connections -= 1
-
-    def do_POST(self):
-        state = self.state
-        with state.lock:
-            state.in_flight += 1
-            state.max_in_flight = max(state.max_in_flight, state.in_flight)
-            state.requests += 1
-            state.authorization.append(self.headers.get("Authorization"))
-        try:
-            status, payload = self._reply()
-        finally:
-            # before the reply goes out: a client that has read a reply of
-            # known length may send its next request at once
-            with state.lock:
-                state.in_flight -= 1
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
-        if state.drop_after_response:
-            self.close_connection = True
-
-    def _reply(self) -> tuple[int, bytes]:
-        state = self.state
-        length = int(self.headers["Content-Length"])
-        body = json.loads(self.rfile.read(length))
-        prompt = body["prompt"]
-        if state.delay:
-            time.sleep(state.delay)
-        x1 = int(re.findall(r"What is (\d+) times", prompt)[-1])
-        with state.lock:
-            state.attempts[prompt] += 1
-            first = state.attempts[prompt] == 1
-        if state.always_fail or (
-            state.fail_first_attempt_every
-            and first
-            and x1 % state.fail_first_attempt_every == 0
-        ):
-            return 503, b""
-        if state.malformed:
-            return 200, b"not json"
-        return 200, json.dumps({"choices": [{"text": state.answer(prompt)}]}).encode()
-
-
-def _serve(protocol_version):
-    state = StubState()
-    handler = type(
-        "Handler",
-        (_StubHandler,),
-        # no Nagle: a keep-alive reply's body would wait on a delayed ACK
-        {"state": state, "protocol_version": protocol_version, "disable_nagle_algorithm": True},
-    )
-    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        yield state, f"http://127.0.0.1:{server.server_port}"
-    finally:
-        server.shutdown()
-        server.server_close()
-
-
-@pytest.fixture
-def stub():
-    """An HTTP/1.0 stub: every reply closes its connection."""
-    yield from _serve("HTTP/1.0")
-
-
-@pytest.fixture
-def keep_alive_stub():
-    """An HTTP/1.1 stub that keeps connections open between requests."""
-    yield from _serve("HTTP/1.1")
+# --- against the stub endpoint (fixtures in conftest.py) -------------------
 
 
 def _endpoint(url, **kwargs):

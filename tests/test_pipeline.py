@@ -5,7 +5,7 @@ import shutil
 
 import pytest
 
-from freqgap.client import MockPolicy, load_records
+from freqgap.client import EndpointConfig, MockPolicy, load_records, save_records
 from freqgap.corpus import count_corpus
 from freqgap.counting import CONVERSION_TRIPLES, CountTable
 from freqgap.demo import generate_demo_corpus
@@ -106,9 +106,12 @@ def test_validate_config_reads_file(tmp_path):
 
 ENDPOINT = {"base_url": "http://x", "model_name": "m"}
 
-# records and report of a 1 MB demo corpus (seed 0), all tasks, ks 0 and 2,
-# two prompt seeds, mock freq_logistic:1,-3,6
+# one prompt file, the records and the report of a 1 MB demo corpus (seed 0),
+# all tasks, ks 0 and 2, two prompt seeds, mock freq_logistic:1,-3,6
 PINNED_OUTPUTS = {
+    "prompts/hour_min_k2_seed1.jsonl": (
+        "11b90c14e1a9700b28b984f9b24af8f09fa4637e236fbee9f6bc7cdcfff99d54"
+    ),
     "records/records.jsonl": "5e7dc5272db3e20a8caff044aa8775a449fea95244cbbfb6a3520df08468ff88",
     "report/report.json": "7d7a482c2de752d6c4cf68a2b2a6a7e2bac96bc22b9bc2fa5503cd3c1f1da121",
 }
@@ -534,3 +537,94 @@ def test_a_kill_at_any_commit_resumes_to_the_clean_run(tmp_path, monkeypatch):
         shutil.rmtree(killed.out)
         n += 1
     assert n == len(commits) > 50
+
+
+# --- endpoint evals (the stub endpoint is in conftest.py) ----------------------
+
+
+def _endpoint_run_config(corpus, out, url):
+    endpoint = EndpointConfig(url, "stub-model", max_in_flight=2, backoff_base=0.0, timeout=5.0)
+    return RunConfig(
+        corpus_path=corpus, corpus_format="jsonl", out=out, tasks=("hour_min",), ks=(0, 2),
+        seeds=1, endpoint=endpoint,
+    )
+
+
+def test_a_finished_endpoint_eval_stores_its_records_once(small_corpus, tmp_path, stub):
+    state, url = stub
+    out = tmp_path / "run"
+    run_pipeline(_endpoint_run_config(small_corpus, out, url))
+    assert sorted(p.name for p in (out / "records").iterdir()) == [
+        "journal.inputs.json", "records.jsonl",
+    ]
+    records = load_records(out / "records" / "records.jsonl")
+    assert records and all(r.correct and r.error is None for r in records)
+    assert state.requests == len(records)
+
+
+def test_a_forced_endpoint_rerun_resumes_from_its_records(small_corpus, tmp_path, stub):
+    state, url = stub
+    config = _endpoint_run_config(small_corpus, tmp_path / "run", url)
+    run_pipeline(config)
+    records = config.out / "records" / "records.jsonl"
+    first, requests = records.read_bytes(), state.requests
+    run_pipeline(config, force=True)  # a fresh manifest: every stage runs again
+    assert state.requests == requests
+    assert records.read_bytes() == first
+    assert not (config.out / "records" / "journal.jsonl").exists()
+
+
+@pytest.mark.parametrize("fails", ["in save_records", "after save_records"])
+def test_an_endpoint_eval_cut_at_its_commit_resumes_without_requests(
+    small_corpus, tmp_path, stub, monkeypatch, fails
+):
+    import freqgap.pipeline as pipeline_mod
+
+    state, url = stub
+    config = _endpoint_run_config(small_corpus, tmp_path / "run", url)
+    scored = []
+
+    def failing_save_records(records, path):
+        scored.extend(records)
+        if fails == "after save_records":
+            save_records(records, path)
+        raise RuntimeError("killed")
+
+    monkeypatch.setattr(pipeline_mod, "save_records", failing_save_records)
+    with pytest.raises(RuntimeError, match="killed"):
+        run_pipeline(config)
+    monkeypatch.undo()
+    assert scored and state.requests == len(scored)
+    run_pipeline(config)
+    assert state.requests == len(scored)
+    assert load_records(config.out / "records" / "records.jsonl") == scored
+    assert not (config.out / "records" / "journal.jsonl").exists()
+
+
+def test_an_endpoint_eval_under_other_inputs_never_resumes_their_records(
+    small_corpus, tmp_path, stub, monkeypatch
+):
+    import freqgap.pipeline as pipeline_mod
+
+    state, url = stub
+    config = _endpoint_run_config(small_corpus, tmp_path / "run", url)
+    run_pipeline(config)
+    requests = state.requests
+    # model b answers every question wrong, and its first eval dies
+    # before it journals a record
+    state.wrong = True
+    other = dataclasses.replace(
+        config, endpoint=dataclasses.replace(config.endpoint, model_name="b")
+    )
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("killed")
+
+    monkeypatch.setattr(pipeline_mod, "evaluate", boom)
+    with pytest.raises(RuntimeError, match="killed"):
+        run_pipeline(other, force=True)
+    monkeypatch.undo()
+    run_pipeline(other)
+    records = load_records(other.out / "records" / "records.jsonl")
+    assert records and not any(r.correct for r in records)
+    assert state.requests == 2 * requests

@@ -26,7 +26,7 @@ from freqgap.tasks import (
     save_bundles,
     save_dataset,
 )
-from freqgap.terms import key_str, term_set, term_str, unit_term
+from freqgap.terms import key_str, term_set, unit_term
 from freqgap.util import sha256_text
 
 GOLDEN = Path(__file__).parent / "golden" / "prompts.txt"
@@ -297,8 +297,7 @@ def test_dataset_roundtrip(tmp_path):
 
 def test_bundle_roundtrip(tmp_path):
     # one file holds several shot sets, interleaved the way perfbench's
-    # eval input samples them, plus a line of the layout that stored the
-    # whole prompt on every line
+    # eval input samples them
     table = _synthetic_table(n_small=5, unit_values={"hour": [7, 9, 12, 15, 31, 44]})
     shot_sets = [
         build_fewshot_prompts(_tiny_dataset(10), 2, seed=1),
@@ -314,17 +313,6 @@ def test_bundle_roundtrip(tmp_path):
     assert len(lines) == len(bundles)
     assert sum('"shots"' in line for line in lines) == len(shot_sets)
 
-    legacy = build_fewshot_prompts(build_task(table, "hour_min"), 3, seed=4)[0]
-    inst = legacy.test_instance
-    legacy_line = {
-        "factor": inst.factor, "gold": legacy.gold, "instance_id": inst.instance_id,
-        "k": legacy.k, "prompt": legacy.rendered, "seed": legacy.seed,
-        "task_id": inst.task_id, "x": [term_str(c) for c in inst.x],
-    }
-    lines.insert(len(lines) // 2, json.dumps(legacy_line, sort_keys=True) + "\n")
-    bundles.insert(len(bundles) // 2, legacy)
-    path.write_text("".join(lines))
-
     def fields(b):
         return (
             b.rendered, b.k, b.seed, b.gold, b.test_instance.instance_id,
@@ -333,11 +321,26 @@ def test_bundle_roundtrip(tmp_path):
 
     loaded = load_bundles(path)
     assert [fields(b) for b in loaded] == [fields(b) for b in bundles]
-    # the legacy bundle has no shots to store and keeps its prompt
     save_bundles(loaded, tmp_path / "again.jsonl")
-    assert [fields(b) for b in load_bundles(tmp_path / "again.jsonl")] == [
-        fields(b) for b in bundles
-    ]
+    assert (tmp_path / "again.jsonl").read_bytes() == path.read_bytes()
+
+
+def test_load_bundles_names_the_file_of_a_line_without_its_shot_set(tmp_path):
+    path = tmp_path / "bundles.jsonl"
+    save_bundles(build_fewshot_prompts(_tiny_dataset(6), 2, seed=1), path)
+    first, *rest = [json.loads(line) for line in path.read_text().splitlines()]
+
+    def rejected(*lines):
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        problem = f"{path}: line 2 names no shot set of its k={lines[-1]['k']}"
+        with pytest.raises(DatasetError, match=re.escape(problem)):
+            load_bundles(path)
+
+    no_set = {k: v for k, v in rest[0].items() if k != "shot_set"}
+    rejected(first, {**rest[0], "k": 3})
+    rejected(first, no_set)
+    rejected(first, {**rest[0], "shot_set": 1})
+    rejected(first, {**no_set, "prompt": "Q: What is 3 times 7? A:"})  # the whole-prompt layout
 
 
 def test_instance_ids_stable():
