@@ -19,7 +19,7 @@ from freqgap.client import MockPolicy, load_records, logistic_accuracy
 from freqgap.counting import CountTable
 from freqgap.demo import generate_demo_corpus
 from freqgap.pipeline import RunConfig, run_pipeline
-from freqgap.tasks import ALL_TASKS, CONVERSION_TASKS, load_dataset
+from freqgap.tasks import ALL_TASKS, default_keys, load_dataset
 
 
 def main() -> None:
@@ -57,8 +57,7 @@ def main() -> None:
         instances = {
             i.instance_id: i for i in load_dataset(out / "datasets" / f"{task_id}.jsonl")
         }
-        key = "x1x2" if task_id in CONVERSION_TASKS else "x1"
-        points = aggregate(by_task[task_id], instances, counts, key)
+        points = aggregate(by_task[task_id], instances, counts, default_keys(task_id)[0])
         measured = performance_gap(points)
         expected = performance_gap(
             [

@@ -1,12 +1,13 @@
 """Performance-gap analysis: joins eval records with term frequencies.
 
 The unit of analysis is the group: all scored records whose instance
-maps to the same term set under a grouping key.  Each group carries its
-corpus frequency and its (correct, n) record counts; the performance gap
-is the mean accuracy of the top frequency decile minus the bottom
-decile, so it depends only on the frequency ORDER.  Decile and bin means
-are exact rationals built from those counts, so partition identities
-and decile means are exact.
+maps to the same term set under a grouping key (freqgap.tasks defines
+the keys and each task's defaults).  Each group carries its corpus
+frequency and its (correct, n) record counts; the performance gap is
+the mean accuracy of the top frequency decile minus the bottom decile,
+so it depends only on the frequency ORDER.  Decile and bin means are
+exact rationals built from those counts, so partition identities and
+decile means are exact.
 
 build_report makes one pass over the records and counts (correct, n)
 per (task, k, seed, grouping key, term set); pooled groups are sums over
@@ -33,53 +34,16 @@ from typing import Iterable, Mapping, Sequence
 
 from .client import EvalRecord
 from .counting import CountTable
-from .tasks import CONVERSION_TASKS, TaskInstance
-from .terms import term_set
+from .tasks import GROUPING_KEYS, TaskInstance, default_keys, grouping_applies, resolve_grouping
 from .util import atomic_open, canonical_json
 
 log = logging.getLogger(__name__)
-
-GROUPING_KEYS = ("x1", "x1x2", "x1y", "x1x2x3", "x1x2y")
-
-# Per-family defaults mirror the report tables: unigram-based gaps for
-# arithmetic, pair/triple-based gaps for conversions.
-ARITH_KEYS = ("x1", "x1x2", "x1y")
-CONVERSION_KEYS = ("x1x2", "x1x2x3", "x1x2y")
 
 REPORT_COLUMNS = ("task_id", "k", "acc") + tuple(f"gap_{key}" for key in GROUPING_KEYS)
 
 
 class AnalysisError(ValueError):
     pass
-
-
-def resolve_grouping(instance: TaskInstance, key: str) -> tuple[int, ...]:
-    """Term set selected by a grouping key; raises if a role is missing."""
-    x1 = instance.x[0]
-    if key == "x1":
-        return term_set((x1,))
-    if key == "x1x2":
-        return term_set((x1, instance.x[1]))
-    if key == "x1y":
-        return term_set((x1, instance.y))
-    if key == "x1x2x3":
-        if instance.factor is None:
-            raise AnalysisError(
-                f"grouping key x1x2x3 needs an implicit factor; "
-                f"{instance.task_id} has none"
-            )
-        return term_set((x1, instance.x[1], instance.factor))
-    if key == "x1x2y":
-        return term_set((x1, instance.x[1], instance.y))
-    raise AnalysisError(f"unknown grouping key: {key!r}")
-
-
-def grouping_applies(task_id: str, key: str) -> bool:
-    return key != "x1x2x3" or task_id in CONVERSION_TASKS
-
-
-def default_keys(task_id: str) -> tuple[str, ...]:
-    return CONVERSION_KEYS if task_id in CONVERSION_TASKS else ARITH_KEYS
 
 
 @dataclass(frozen=True)

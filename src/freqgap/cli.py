@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .analysis import GROUPING_KEYS, compare_runs
+from .analysis import compare_runs
 from .client import EndpointConfig, MockPolicy, load_records
 from .corpus import CORPUS_FORMATS, count_corpus, merge_table_files
 from .counting import CounterConfig, CountTable
@@ -30,7 +30,7 @@ from .pipeline import (
     scorer_digest,
     validate_config,
 )
-from .tasks import ALL_TASKS, load_bundles, load_dataset, load_targets
+from .tasks import ALL_TASKS, GROUPING_KEYS, load_bundles, load_dataset, load_targets
 from .util import sha256_file
 
 log = logging.getLogger(__name__)
@@ -165,6 +165,8 @@ def _cmd_eval(args) -> int:
     if (args.endpoint is None) == (args.mock is None):
         raise UsageError("give exactly one of --endpoint or --mock")
     paths = sorted(args.bundles.glob("*.jsonl")) if args.bundles.is_dir() else [args.bundles]
+    if not paths:
+        raise UsageError(f"no bundle files under {args.bundles}")
     mock = endpoint = None
     if args.mock is None and not args.model:
         raise UsageError("--endpoint needs --model")
@@ -208,7 +210,10 @@ def _cmd_analyze(args) -> int:
         bad = [key for key in keys if key not in GROUPING_KEYS]
         if bad:
             raise UsageError(f"unknown grouping keys: {bad}")
-    ks = [int(k) for k in args.ks.split(",")] if args.ks else None
+    try:
+        ks = [int(k) for k in args.ks.split(",")] if args.ks else None
+    except ValueError as exc:
+        raise UsageError(f"--ks: {exc}") from exc
     datasets = [load_dataset(p) for p in sorted(args.datasets.glob("*.jsonl"))]
     counts = CountTable.load(args.counts)
     run_analyze(records, datasets, counts, args.out, args.label, ks=ks, keys=keys, bins=args.bins)

@@ -25,8 +25,7 @@ from typing import Callable, Sequence
 from urllib.parse import urlsplit
 
 from .counting import CountTable
-from .tasks import CONVERSION_TASKS, PromptBundle
-from .terms import term_set
+from .tasks import PromptBundle, default_keys, resolve_grouping
 from .util import atomic_open, sha256_text, sorted_json, unit_uniform
 
 log = logging.getLogger(__name__)
@@ -168,12 +167,10 @@ def logistic_accuracy(policy: MockPolicy, freq: int) -> float:
 
 
 def primary_term_set(bundle: PromptBundle) -> tuple[int, ...]:
-    """The frequency key that drives the mock: {x1} for arithmetic-family
-    tasks, {x1, x2} for conversions."""
+    """The frequency key that drives the mock: the term set of the task's
+    first default grouping key."""
     inst = bundle.test_instance
-    if inst.task_id in CONVERSION_TASKS:
-        return term_set((inst.x[0], inst.x[1]))
-    return term_set((inst.x[0],))
+    return resolve_grouping(inst, default_keys(inst.task_id)[0])
 
 
 def mock_generate(bundle: PromptBundle, freq: int, policy: MockPolicy) -> str:

@@ -22,7 +22,9 @@ import logging
 import multiprocessing
 import os
 import tempfile
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import count, repeat
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -221,18 +223,17 @@ def count_corpus(
     partitions = [p for p in partition_units(units, max(shards, 1)) if p]
     digest = config.digest()
     with tempfile.TemporaryDirectory(prefix="freqgap-spill-") as spill_dir:
-        results = []
+        args = (partitions, repeat(config), repeat(spill_dir), repeat(spill_threshold), count())
         if len(partitions) <= 1:
-            for i, part in enumerate(partitions):
-                results.append(_count_units(part, config, spill_dir, spill_threshold, i))
+            results = list(map(_count_units, *args))
         else:
+            # Unlike multiprocessing.Pool, an executor fails the count with
+            # BrokenProcessPool when a worker dies (SIGKILL, OOM) instead
+            # of waiting forever for its task.
             nproc = min(workers or os.cpu_count() or 1, len(partitions))
-            with multiprocessing.get_context("fork").Pool(nproc) as pool:
-                jobs = [
-                    (part, config, spill_dir, spill_threshold, i)
-                    for i, part in enumerate(partitions)
-                ]
-                results = pool.starmap(_count_units, jobs)
+            fork = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(nproc, mp_context=fork) as pool:
+                results = list(pool.map(_count_units, *args))
         spills: list[Path] = []
         metas = [CountMeta(corpus=Path(path).name, config_digest=digest)]
         for paths, documents, tokens, skipped in results:

@@ -367,9 +367,11 @@ def run_gen(table: CountTable, tasks: Iterable[str], out_dir: Path) -> Datasets:
     return datasets
 
 
-def run_targets(datasets: Datasets, out: Path) -> None:
-    """Write the term sets the targeted count pass needs for these datasets."""
-    save_targets(derive_query_sets(datasets), out)
+def run_targets(datasets: Datasets, out: Path) -> list[tuple[int, ...]]:
+    """Write and return the term sets the targeted count pass needs."""
+    targets = derive_query_sets(datasets)
+    save_targets(targets, out)
+    return targets
 
 
 def run_prompts(
@@ -511,11 +513,12 @@ def run_pipeline(config: RunConfig, force: bool = False) -> RunManifest:
     )
 
     targets_path = out / "targets.txt"
-    runner.stage(
+    targets = runner.stage(
         "targets",
         runner.artifact_digests("gen"),
         [targets_path],
         lambda: run_targets(datasets(), targets_path),
+        load=lambda: load_targets(targets_path),
     )
 
     pass2 = out / "counts" / "pass2" / "counts.tsv"
@@ -523,10 +526,10 @@ def run_pipeline(config: RunConfig, force: bool = False) -> RunManifest:
         "count_pass2",
         {**runner.artifact_digests("count_pass1"), **runner.artifact_digests("targets")},
         [pass2, pass2.with_suffix(".meta.json")],
-        lambda: table1().select(counter.with_targets(load_targets(targets_path))).save(pass2),
+        lambda: table1().select(counter.with_targets(targets())).save(pass2),
         load=lambda: CountTable.load(pass2),
     )
-    table1 = None  # count_pass2 was its last reader
+    table1 = targets = None  # count_pass2 was their last reader
 
     prompts_dir = out / "prompts"
     prompt_paths = [

@@ -1,4 +1,6 @@
-"""The 11 numerical-reasoning datasets and their prompts.
+"""The 11 numerical-reasoning datasets, their prompts, and the grouping
+keys that pick each task's term sets for the report's gaps, the targeted
+count and the freq_logistic mock.
 
 Three families: arithmetic (mult, add), operation inference (the same
 instances with the operator replaced by "#"), and time-unit conversion
@@ -67,6 +69,42 @@ class TaskInstance:
         return term_value(self.x[0])
 
 
+# Grouping keys: the instance terms that a frequency is counted over.
+GROUPING_KEYS = ("x1", "x1x2", "x1y", "x1x2x3", "x1x2y")
+
+
+def resolve_grouping(instance: TaskInstance, key: str) -> tuple[int, ...]:
+    """Term set selected by a grouping key; raises if a role is missing."""
+    x1 = instance.x[0]
+    if key == "x1":
+        return term_set((x1,))
+    if key == "x1x2":
+        return term_set((x1, instance.x[1]))
+    if key == "x1y":
+        return term_set((x1, instance.y))
+    if key == "x1x2x3":
+        if instance.factor is None:
+            raise DatasetError(
+                f"grouping key x1x2x3 needs an implicit factor; "
+                f"{instance.task_id} has none"
+            )
+        return term_set((x1, instance.x[1], instance.factor))
+    if key == "x1x2y":
+        return term_set((x1, instance.x[1], instance.y))
+    raise DatasetError(f"unknown grouping key: {key!r}")
+
+
+def grouping_applies(task_id: str, key: str) -> bool:
+    return key != "x1x2x3" or task_id in CONVERSION_TASKS
+
+
+def default_keys(task_id: str) -> tuple[str, ...]:
+    """A task's grouping keys by default; the first drives the freq_logistic mock."""
+    if task_id in CONVERSION_TASKS:
+        return ("x1x2", "x1x2x3", "x1x2y")
+    return ("x1", "x1x2", "x1y")
+
+
 def instance_id_for(task_id: str, x: tuple[int, ...]) -> str:
     raw = "|".join([task_id] + [term_str(c) for c in x])
     return hashlib.sha256(raw.encode("utf-8")).hexdigest()[:16]
@@ -74,10 +112,9 @@ def instance_id_for(task_id: str, x: tuple[int, ...]) -> str:
 
 def compute_answer(task_id: str, x: tuple[int, ...], factor: int | None) -> int:
     x1 = term_value(x[0])
-    if task_id in ("mult", "mult_hash"):
-        return x1 * term_value(x[1])
-    if task_id in ("add", "add_hash"):
-        return x1 + term_value(x[1])
+    if task_id in ARITH_TASKS:
+        x2 = term_value(x[1])
+        return x1 * x2 if task_id.startswith("mult") else x1 + x2
     if task_id in CONVERSION_TASKS:
         assert factor is not None
         return x1 * factor
@@ -96,40 +133,20 @@ def make_instance(task_id: str, x: tuple[int, ...], factor: int | None = None) -
     )
 
 
-def _arith_operands(table: CountTable) -> list[int]:
-    qualifying = [v for v in top_numbers(table, TOP_K) if v < ARITH_X1_BOUND]
-    if not qualifying:
-        raise DatasetError(
-            "no qualifying first operands: corpus has no counted numbers below "
-            f"{ARITH_X1_BOUND} in its top {TOP_K}"
-        )
-    return qualifying
-
-
-def _arith_instances(table: CountTable, op: str, task_id: str) -> list[TaskInstance]:
-    if op not in ("mult", "add"):
-        raise DatasetError(f"unknown arithmetic op: {op!r}")
-    return [
-        make_instance(task_id, (x1, x2))
-        for x1 in _arith_operands(table)
-        for x2 in ARITH_X2_RANGE
-    ]
-
-
-def build_arithmetic(table: CountTable, op: str) -> list[TaskInstance]:
-    """Cross product of top first operands (< 100) with second operands 1..50."""
-    return _arith_instances(table, op, op)
-
-
-def build_operation_inference(table: CountTable, op: str) -> list[TaskInstance]:
-    """Same operands and answers as arithmetic, rendered with '#' instead."""
-    return _arith_instances(table, op, op + "_hash")
-
-
-def build_time_conversion(table: CountTable, task_id: str) -> list[TaskInstance]:
-    """One instance per two-digit number co-occurring with the source unit."""
+def build_task(table: CountTable, task_id: str) -> list[TaskInstance]:
+    """One task's dataset: for the arithmetic family, top first operands
+    (< 100) crossed with second operands 1..50; for a conversion, one
+    instance per two-digit number co-occurring with the source unit."""
+    if task_id in ARITH_TASKS:
+        operands = [v for v in top_numbers(table, TOP_K) if v < ARITH_X1_BOUND]
+        if not operands:
+            raise DatasetError(
+                "no qualifying first operands: corpus has no counted numbers below "
+                f"{ARITH_X1_BOUND} in its top {TOP_K}"
+            )
+        return [make_instance(task_id, (x1, x2)) for x1 in operands for x2 in ARITH_X2_RANGE]
     if task_id not in CONVERSION_TASKS:
-        raise DatasetError(f"unknown conversion task: {task_id!r}")
+        raise DatasetError(f"unknown task: {task_id!r}")
     source_unit, factor = CONVERSION_TASKS[task_id]
     unit = unit_term(source_unit)
     instances = []
@@ -143,14 +160,6 @@ def build_time_conversion(table: CountTable, task_id: str) -> list[TaskInstance]
             f"co-occur with {source_unit!r}"
         )
     return instances
-
-
-def build_task(table: CountTable, task_id: str) -> list[TaskInstance]:
-    if task_id in ("mult", "add"):
-        return build_arithmetic(table, task_id)
-    if task_id in ("mult_hash", "add_hash"):
-        return build_operation_inference(table, task_id[: -len("_hash")])
-    return build_time_conversion(table, task_id)
 
 
 def render_prompt(instance: TaskInstance, with_answer: bool) -> str:
@@ -235,24 +244,14 @@ def build_fewshot_prompts(
 
 
 def derive_query_sets(datasets: Iterable[Sequence[TaskInstance]]) -> list[tuple[int, ...]]:
-    """Deduplicated term sets whose frequencies the gap analysis needs.
-
-    Arithmetic-family instances contribute {x1}, {x1,x2}, {x1,y};
-    conversions contribute {x1,x2}, {x1,x2,x3}, {x1,x2,y}.
-    """
-    keys: set[tuple[int, ...]] = set()
-    for dataset in datasets:
-        for inst in dataset:
-            x1 = inst.x[0]
-            x2 = inst.x[1]
-            if inst.task_id in CONVERSION_TASKS:
-                keys.add(term_set((x1, x2)))
-                keys.add(term_set((x1, x2, inst.factor)))
-                keys.add(term_set((x1, x2, inst.y)))
-            else:
-                keys.add(term_set((x1,)))
-                keys.add(term_set((x1, x2)))
-                keys.add(term_set((x1, inst.y)))
+    """Deduplicated term sets whose frequencies the gap analysis needs:
+    each instance's term sets under its task's default_keys."""
+    keys = {
+        resolve_grouping(inst, key)
+        for dataset in datasets
+        for inst in dataset
+        for key in default_keys(inst.task_id)
+    }
     return sorted(keys, key=key_str)
 
 

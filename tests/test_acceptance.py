@@ -38,9 +38,8 @@ from freqgap.pipeline import RunConfig, run_pipeline
 from freqgap.tasks import (
     ALL_TASKS,
     CONVERSION_TASKS,
-    build_arithmetic,
     build_fewshot_prompts,
-    build_time_conversion,
+    build_task,
     load_dataset,
     make_instance,
     render_prompt,
@@ -285,7 +284,7 @@ def test_criterion_7_dataset_construction():
         table = CountTable(entries, CountTable.empty(CounterConfig()).meta)
 
         for op in ("mult", "add"):
-            dataset = build_arithmetic(table, op)
+            dataset = build_task(table, op)
             assert len(dataset) == 5000
             for inst in dataset:
                 recomputed = (
@@ -296,7 +295,7 @@ def test_criterion_7_dataset_construction():
         factors = {"min_sec": 60, "hour_min": 60, "day_hour": 24, "week_day": 7,
                    "month_week": 4, "year_month": 12, "decade_year": 10}
         for task_id, factor in factors.items():
-            dataset = build_time_conversion(table, task_id)
+            dataset = build_task(table, task_id)
             assert len(dataset) == 30
             assert all(inst.factor == factor for inst in dataset)
             assert all(inst.y == inst.x1 * factor for inst in dataset)

@@ -26,7 +26,7 @@ from freqgap.analysis import (
 )
 from freqgap.client import EvalRecord
 from freqgap.counting import CounterConfig, CountTable
-from freqgap.tasks import make_instance
+from freqgap.tasks import DatasetError, make_instance
 from freqgap.terms import term_set, unit_term
 
 
@@ -336,9 +336,9 @@ def test_resolve_grouping_keys():
     assert resolve_grouping(conv, "x1x2y") == term_set((24, unit_term("hour"), 1440))
     arith = make_instance("mult", (23, 18))
     assert resolve_grouping(arith, "x1y") == term_set((23, 414))
-    with pytest.raises(AnalysisError):
+    with pytest.raises(DatasetError):
         resolve_grouping(arith, "x1x2x3")
-    with pytest.raises(AnalysisError):
+    with pytest.raises(DatasetError):
         resolve_grouping(arith, "x2")
 
 

@@ -173,10 +173,13 @@ def test_cli_endpoint_eval_after_a_mock_eval_scores_every_bundle_again(
 # --- exit codes ---------------------------------------------------------------
 
 
-def test_usage_error_exits_1():
+def test_usage_error_exits_1(tmp_path):
     assert main(["count", "--corpus", "/x"]) == 1  # missing --out
     assert main(["eval", "--bundles", "/x", "--out", "/y"]) == 1  # no scorer
     assert main(["nonsense"]) == 1
+    out = tmp_path / "r"
+    assert main(["eval", "--bundles", str(tmp_path), "--mock", "perfect", "--out", str(out)]) == 1
+    assert not out.exists()  # no bundle files, no records
 
 
 def test_bad_config_exits_1(tmp_path):
@@ -219,10 +222,11 @@ def test_stage_failure_exits_2(tmp_path):
     ]) == 2
 
 
-def test_unknown_grouping_key_exits_1(workspace, tmp_path):
+@pytest.mark.parametrize("flag", [["--keys", "x9"], ["--ks", "a"]], ids=["keys", "ks"])
+def test_unknown_grouping_key_exits_1(workspace, tmp_path, flag):
     assert main([
         "analyze", "--records", str(workspace / "results" / "records.jsonl"),
         "--datasets", str(workspace / "datasets"),
         "--counts", str(workspace / "counts2"),
-        "--keys", "x9", "--out", str(tmp_path / "r"),
+        *flag, "--out", str(tmp_path / "r"),
     ]) == 1

@@ -1,10 +1,16 @@
 import itertools
+import os
 import random
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import freqgap
 import freqgap.counting as counting_mod
 from freqgap.corpus import count_corpus, merge_table_files
 from freqgap.counting import (
@@ -491,6 +497,44 @@ def test_count_corpus_spills_stay_distinct_past_1000_partitions(tmp_path):
     single = tmp_path / "single" / "counts.tsv"
     count_corpus(root, "text", CFG, single, shards=1)
     assert sharded.read_bytes() == single.read_bytes()
+
+
+_LOST_WORKER = """
+import os, signal, sys
+import freqgap.corpus as corpus
+from freqgap.counting import CounterConfig
+
+count_units = corpus._count_units
+
+def count_or_die(units, config, spill_dir, spill_threshold, partition):
+    if partition == 1:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return count_units(units, config, spill_dir, spill_threshold, partition)
+
+corpus._count_units = count_or_die
+corpus.count_corpus(sys.argv[1], "jsonl", CounterConfig(), sys.argv[2], shards=2, workers=2)
+"""
+
+
+def test_count_corpus_fails_when_a_worker_is_lost(tmp_path):
+    root = _write_corpus(tmp_path, random_corpus(random.Random(2), 40, max_tokens=20))
+    temp = tmp_path / "tmp"
+    temp.mkdir()
+    src = str(Path(freqgap.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "TMPDIR": str(temp)}
+    argv = [sys.executable, "-c", _LOST_WORKER, str(root), str(tmp_path / "out" / "counts.tsv")]
+    proc = subprocess.Popen(argv, env=env, stderr=subprocess.PIPE, start_new_session=True)
+    try:
+        _, stderr = proc.communicate(timeout=30)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)  # the count and any worker left waiting
+        proc.wait()
+        pytest.fail("count_corpus hung after losing a worker")
+    assert proc.returncode != 0
+    assert b"BrokenProcessPool" in stderr
+    assert list(temp.iterdir()) == []  # the spill directory is removed
+    assert not (tmp_path / "out" / "counts.tsv").exists()
 
 
 def test_text_format_one_document_per_file(tmp_path):

@@ -5,6 +5,7 @@ import shutil
 
 import pytest
 
+from freqgap.analysis import build_report
 from freqgap.client import EndpointConfig, MockPolicy, load_records, save_records
 from freqgap.corpus import count_corpus
 from freqgap.counting import CONVERSION_TRIPLES, CountTable
@@ -357,7 +358,7 @@ def test_pipeline_counts_once_and_selects_pass2(small_corpus, tmp_path, monkeypa
 
     monkeypatch.setattr(pipeline_mod, "count_corpus", counting_count_corpus)
     out = tmp_path / "run"
-    config = _run_config(small_corpus, out, ks=(0,), seeds=1)
+    config = _run_config(small_corpus, out, mock="freq_logistic:1,-3,6", ks=(0,), seeds=1)
     run_pipeline(config)
     assert len(calls) == 1
     monkeypatch.undo()
@@ -373,6 +374,15 @@ def test_pipeline_counts_once_and_selects_pass2(small_corpus, tmp_path, monkeypa
     assert CountTable.load(pass2).entries.items() <= pass1.entries.items()
     triples = [k for k in pass1.entries if len(k) == 3]
     assert triples and set(triples) <= CONVERSION_TRIPLES
+    # pass 2 keeps every term set the report reads
+    records = load_records(out / "records" / "records.jsonl")
+    instances = {
+        inst.instance_id: inst
+        for task_id in config.tasks
+        for inst in load_dataset(out / "datasets" / f"{task_id}.jsonl")
+    }
+    report = lambda table: build_report(records, instances, table, config.tasks, config.ks)
+    assert report(CountTable.load(pass2)) == report(pass1)
 
 
 def test_pipeline_recounts_pass1_counted_under_another_counter(
@@ -424,11 +434,15 @@ def test_bundles_and_tables_pass_forward_and_files_are_read_only_after_a_skip(
 ):
     import freqgap.pipeline as pipeline_mod
 
-    bundle_loads, table_loads = [], []
+    bundle_loads, table_loads, target_loads = [], [], []
 
     def counting_load_bundles(path):
         bundle_loads.append(path)
         return load_bundles(path)
+
+    def counting_load_targets(path):
+        target_loads.append(path)
+        return load_targets(path)
 
     load = CountTable.load.__func__
 
@@ -437,13 +451,14 @@ def test_bundles_and_tables_pass_forward_and_files_are_read_only_after_a_skip(
         return load(cls, path)
 
     monkeypatch.setattr(pipeline_mod, "load_bundles", counting_load_bundles)
+    monkeypatch.setattr(pipeline_mod, "load_targets", counting_load_targets)
     monkeypatch.setattr(CountTable, "load", classmethod(counting_load))
     out = tmp_path / "run"
     config = _run_config(
         small_corpus, out, mock="freq_logistic:1,-3,6", tasks=("mult", "hour_min"), seeds=1
     )
     first = run_pipeline(config).stages
-    assert bundle_loads == []
+    assert bundle_loads == target_loads == []
     assert table_loads == [out / "counts" / "pass1" / "counts.tsv"]
     outputs = ["records/records.jsonl", "report/report.json"]
     fresh = {rel: (out / rel).read_bytes() for rel in outputs}

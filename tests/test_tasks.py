@@ -12,11 +12,8 @@ from freqgap.tasks import (
     ALL_TASKS,
     CONVERSION_TASKS,
     DatasetError,
-    build_arithmetic,
     build_fewshot_prompts,
-    build_operation_inference,
     build_task,
-    build_time_conversion,
     compute_answer,
     derive_query_sets,
     load_bundles,
@@ -120,7 +117,7 @@ def test_factor_table():
 
 def test_arithmetic_full_cross_product():
     table = _synthetic_table(n_small=100)
-    dataset = build_arithmetic(table, "mult")
+    dataset = build_task(table, "mult")
     assert len(dataset) == 5000
     assert all(inst.y == inst.x[0] * inst.x[1] for inst in dataset)
     # ordered by (x1 rank, x2); rank here follows descending count = ascending value
@@ -132,19 +129,19 @@ def test_arithmetic_full_cross_product():
 def test_arithmetic_filters_x1_below_100():
     entries = {(v,): 10 for v in (5, 40, 99, 100, 12345)}
     table = CountTable(entries, CountTable.empty(CounterConfig()).meta)
-    dataset = build_arithmetic(table, "add")
+    dataset = build_task(table, "add")
     assert sorted({inst.x[0] for inst in dataset}) == [5, 40, 99]
 
 
 def test_arithmetic_empty_table_is_error():
     with pytest.raises(DatasetError):
-        build_arithmetic(CountTable.empty(CounterConfig()), "mult")
+        build_task(CountTable.empty(CounterConfig()), "mult")
 
 
 def test_operation_inference_shares_triples():
     table = _synthetic_table(n_small=10)
-    arith = build_arithmetic(table, "mult")
-    hashed = build_operation_inference(table, "mult")
+    arith = build_task(table, "mult")
+    hashed = build_task(table, "mult_hash")
     assert len(hashed) == len(arith) == 500
     assert [(i.x, i.y) for i in hashed] == [(i.x, i.y) for i in arith]
     assert all(i.task_id == "mult_hash" for i in hashed)
@@ -152,7 +149,7 @@ def test_operation_inference_shares_triples():
 
 def test_conversion_dataset():
     table = _synthetic_table(unit_values={"hour": [24, 2, 48]})
-    dataset = build_time_conversion(table, "hour_min")
+    dataset = build_task(table, "hour_min")
     assert [(i.x1, i.y) for i in dataset] == [(24, 1440), (2, 120), (48, 2880)]
     assert all(i.factor == 60 for i in dataset)
     assert all(i.x[1] == unit_term("hour") for i in dataset)
@@ -160,19 +157,19 @@ def test_conversion_dataset():
 
 def test_conversion_caps_at_two_digits_and_drops_zero():
     table = _synthetic_table(unit_values={"day": [0, 7, 123]})
-    dataset = build_time_conversion(table, "day_hour")
+    dataset = build_task(table, "day_hour")
     assert [i.x1 for i in dataset] == [7]
 
 
 def test_conversion_shorter_when_few_qualify():
     table = _synthetic_table(unit_values={"minute": list(range(1, 80))})
-    dataset = build_time_conversion(table, "min_sec")
+    dataset = build_task(table, "min_sec")
     assert len(dataset) == 79
 
 
 def test_conversion_unknown_pair_is_error():
     with pytest.raises(DatasetError):
-        build_time_conversion(_synthetic_table(), "sec_min")
+        build_task(_synthetic_table(), "sec_min")
 
 
 def test_build_task_dispatch():
