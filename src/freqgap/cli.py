@@ -20,6 +20,7 @@ from .corpus import CORPUS_FORMATS, count_corpus, merge_table_files
 from .counting import CounterConfig, CountTable
 from .demo import generate_demo_corpus
 from .pipeline import (
+    CONFIG_FIELDS,
     ConfigError,
     run_analyze,
     run_eval,
@@ -38,6 +39,20 @@ log = logging.getLogger(__name__)
 
 class UsageError(Exception):
     pass
+
+
+def _check_flag(flag: str, key: str, value) -> None:
+    """A usage error naming `flag` if the config file's `key` field would reject `value`."""
+    problem = next(row for row in CONFIG_FIELDS if row.key == key).problem(value)
+    if problem is not None:
+        raise UsageError(f"{flag}: {problem}")
+
+
+def _jsonl_files(directory: Path, what: str) -> list[Path]:
+    paths = sorted(directory.glob("*.jsonl"))
+    if not paths:
+        raise UsageError(f"no {what} files under {directory}")
+    return paths
 
 
 class _Parser(argparse.ArgumentParser):
@@ -121,6 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_count(args) -> int:
+    _check_flag("--shards", "shards", args.shards)
     try:
         config = CounterConfig(window=args.window, max_number_digits=args.max_digits)
         if args.targets is not None:
@@ -149,14 +165,13 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_targets(args) -> int:
-    paths = sorted(args.datasets.glob("*.jsonl"))
-    if not paths:
-        raise UsageError(f"no dataset files under {args.datasets}")
-    run_targets([load_dataset(p) for p in paths], args.out)
+    run_targets([load_dataset(p) for p in _jsonl_files(args.datasets, "dataset")], args.out)
     return 0
 
 
 def _cmd_prompts(args) -> int:
+    _check_flag("--k", "ks", [args.k])
+    _check_flag("--seeds", "seeds", args.seeds)
     run_prompts([load_dataset(args.dataset)], [args.k], args.seeds, args.base_seed, args.out)
     return 0
 
@@ -164,9 +179,7 @@ def _cmd_prompts(args) -> int:
 def _cmd_eval(args) -> int:
     if (args.endpoint is None) == (args.mock is None):
         raise UsageError("give exactly one of --endpoint or --mock")
-    paths = sorted(args.bundles.glob("*.jsonl")) if args.bundles.is_dir() else [args.bundles]
-    if not paths:
-        raise UsageError(f"no bundle files under {args.bundles}")
+    paths = _jsonl_files(args.bundles, "bundle") if args.bundles.is_dir() else [args.bundles]
     mock = endpoint = None
     if args.mock is None and not args.model:
         raise UsageError("--endpoint needs --model")
@@ -202,6 +215,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    _check_flag("--bins", "bins", args.bins)
     records = load_records(args.records)
     if not records:
         raise UsageError(f"no records under {args.records}")
@@ -214,7 +228,7 @@ def _cmd_analyze(args) -> int:
         ks = [int(k) for k in args.ks.split(",")] if args.ks else None
     except ValueError as exc:
         raise UsageError(f"--ks: {exc}") from exc
-    datasets = [load_dataset(p) for p in sorted(args.datasets.glob("*.jsonl"))]
+    datasets = [load_dataset(p) for p in _jsonl_files(args.datasets, "dataset")]
     counts = CountTable.load(args.counts)
     run_analyze(records, datasets, counts, args.out, args.label, ks=ks, keys=keys, bins=args.bins)
     return 0

@@ -2,10 +2,10 @@
 
 Requests go to a standard completion API (JSON POST with model, prompt,
 max_tokens, temperature, stop) under a bounded in-flight cap with
-exponential-backoff retries.  Completed records are journaled as they
-arrive so interrupted runs resume by instance identity, and the final
-record set is emitted in one canonical order regardless of completion
-order.
+exponential-backoff retries.  Each record is journaled as soon as it
+completes, in completion order, so interrupted runs resume by instance
+identity, and the final record set is emitted in one canonical order
+regardless of completion order.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ import os
 import re
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, as_completed
+from contextlib import ExitStack
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Sequence
@@ -322,11 +323,12 @@ def evaluate(
     """Score every bundle against the endpoint or a mock policy.
 
     Records come back sorted by (task_id, k, seed, instance_id).  With a
-    journal path, completed records are appended as they finish;
-    resume=True skips bundles already present in the journal, and
-    resume=False starts the journal afresh.  If the endpoint is
-    unreachable the journal keeps the partial results and
-    EndpointUnreachable propagates.
+    journal path, each record is appended as it completes; resume=True
+    skips bundles already present in the journal, and resume=False
+    starts the journal afresh.  If the endpoint is unreachable,
+    EndpointUnreachable propagates with every record completed before it
+    journaled; the at most max_in_flight - 1 requests still in flight
+    are dropped and scored again on resume.
     """
     if (endpoint is None) == (mock is None):
         raise ValueError("exactly one of endpoint or mock must be given")
@@ -342,47 +344,33 @@ def evaluate(
         records = list(done.values())
         pending = [b for b in bundles if (b.test_instance.instance_id, b.k, b.seed) not in done]
 
-    journal_file = None
-    if journal_path is not None:
-        journal_path.parent.mkdir(parents=True, exist_ok=True)
-        journal_file = open(journal_path, "a" if resume else "w", encoding="utf-8")
-
-    def persist(record: EvalRecord) -> None:
-        records.append(record)
-        if journal_file is not None:
-            journal_file.write(_record_line(record))
-            journal_file.flush()
-
-    try:
+    def score_bundle(bundle: PromptBundle) -> EvalRecord:
         if mock is not None:
-            for bundle in pending:
-                freq = counts.query(primary_term_set(bundle)) if counts is not None else 0
-                raw = mock_generate(bundle, freq, mock)
-                persist(_make_record(bundle, raw, None, 0.0))
+            freq = counts.query(primary_term_set(bundle)) if counts is not None else 0
+            return _make_record(bundle, mock_generate(bundle, freq, mock), None, 0.0)
+        start = time.perf_counter()
+        raw, error = completer.complete(bundle.rendered)
+        return _make_record(bundle, raw, error, time.perf_counter() - start)
+
+    with ExitStack() as stack:
+        journal_file = None
+        if journal_path is not None:
+            journal_path.parent.mkdir(parents=True, exist_ok=True)
+            mode = "a" if resume else "w"
+            journal_file = stack.enter_context(open(journal_path, mode, encoding="utf-8"))
+        if mock is not None:
+            scored = map(score_bundle, pending)
         else:
-
-            def run_one(bundle: PromptBundle) -> EvalRecord:
-                start = time.perf_counter()
-                raw, error = completer.complete(bundle.rendered)
-                return _make_record(bundle, raw, error, time.perf_counter() - start)
-
-            with ThreadPoolExecutor(max_workers=endpoint.max_in_flight) as pool:
-                futures = [pool.submit(run_one, b) for b in pending]
-                try:
-                    for future in futures:
-                        persist(future.result())
-                except EndpointUnreachable:
-                    for f in futures:
-                        f.cancel()
-                    for f in futures:
-                        if f.done() and not f.cancelled() and f.exception() is None:
-                            persist(f.result())
-                    raise
-    finally:
-        if completer is not None:
-            completer.close()
-        if journal_file is not None:
-            journal_file.close()
+            stack.callback(completer.close)
+            pool = ThreadPoolExecutor(max_workers=endpoint.max_in_flight)
+            stack.callback(pool.shutdown, cancel_futures=True)
+            futures = [pool.submit(score_bundle, b) for b in pending]
+            scored = (future.result() for future in as_completed(futures))
+        for record in scored:
+            records.append(record)
+            if journal_file is not None:
+                journal_file.write(_record_line(record))
+                journal_file.flush()
 
     records.sort(key=_record_sort_key)
     return records

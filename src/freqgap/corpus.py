@@ -6,6 +6,11 @@ field (one document per record).  Gzip-compressed files are accepted in
 both.  Documents that fail UTF-8 decoding or JSON parsing are skipped
 and counted.
 
+Every jsonl file, compressed or not, is read by one buffered line loop.
+An uncompressed file of at least _SPLIT_MIN_BYTES is cut into one byte
+range per shard; a line belongs to the range holding its first byte, so
+every line is read exactly once whatever the cuts.
+
 Shards are counted by independent worker processes; each worker spills
 its partial tables to disk as sorted files named by (partition, spill
 sequence) and the parent merges them with merge_sorted_count_files, so
@@ -19,6 +24,7 @@ import gc
 import gzip
 import json
 import logging
+import math
 import multiprocessing
 import os
 import tempfile
@@ -62,7 +68,7 @@ class ShardUnit:
     path: str
     fmt: str
     start: int = 0
-    end: int = -1  # -1: to EOF
+    end: float = math.inf  # inf: to EOF
 
 
 def _list_files(root: Path) -> list[Path]:
@@ -83,67 +89,27 @@ def corpus_units(path: Path | str, fmt: str, shards: int = 1) -> list[ShardUnit]
     units: list[ShardUnit] = []
     for file in _list_files(root):
         size = file.stat().st_size
-        splittable = (
-            fmt == "jsonl"
-            and shards > 1
-            and file.suffix != ".gz"
-            and size >= _SPLIT_MIN_BYTES
-        )
-        if splittable:
-            step = size // shards
-            cuts = [i * step for i in range(shards)] + [size]
-            for a, b in zip(cuts, cuts[1:]):
-                units.append(ShardUnit(str(file), fmt, a, b))
-        else:
-            units.append(ShardUnit(str(file), fmt))
+        splittable = fmt == "jsonl" and file.suffix != ".gz" and size >= _SPLIT_MIN_BYTES
+        ranges = max(shards, 1) if splittable else 1
+        cuts = [i * (size // ranges) for i in range(ranges)] + [math.inf]
+        units.extend(ShardUnit(str(file), fmt, a, b) for a, b in zip(cuts, cuts[1:]))
     return units
 
 
-def partition_units(units: list[ShardUnit], shards: int) -> list[list[ShardUnit]]:
-    return [units[i::shards] for i in range(shards)]
-
-
-# Small on purpose.  Blocks of several MB are freed to the brk heap,
-# where the small objects the counter keeps alive pin them: counting the
-# 24 MB demo corpus in 8 MB blocks left 68 MB resident against 36 MB in
-# 256 KB blocks, at the same speed.
-_READ_BLOCK = 256 << 10
-
-
 def _iter_jsonl_lines(unit: ShardUnit) -> Iterator[bytes]:
+    """The unit's lines, each with its newline; a range's last line runs past its end."""
     path = Path(unit.path)
-    if path.suffix == ".gz":
-        with gzip.open(path, "rb") as f:
-            yield from f
-        return
-    # Block reads; a line belongs to the range holding its first byte,
-    # so the final partial line is completed past the range end.  The
-    # pieces of a line that spans blocks are joined once.
-    with open(path, "rb") as f:
-        budget = unit.end if unit.end >= 0 else path.stat().st_size
+    with (gzip.open if path.suffix == ".gz" else open)(path, "rb") as f:
         if unit.start > 0:
             f.seek(unit.start - 1)
             if f.read(1) != b"\n":
                 f.readline()
-        budget -= f.tell()
-        pieces: list[bytes] = []
-        while budget > 0:
-            block = f.read(min(_READ_BLOCK, budget))
-            if not block:
+        pos = f.tell()
+        for line in f:
+            if pos >= unit.end:
                 break
-            budget -= len(block)
-            lines = block.split(b"\n")
-            if len(lines) > 1 and pieces:
-                pieces.append(lines[0])
-                lines[0] = b"".join(pieces)
-                pieces = []
-            tail = lines.pop()
-            if tail:
-                pieces.append(tail)
-            yield from lines
-        if pieces:
-            pieces.append(f.readline())
-            yield b"".join(pieces)
+            pos += len(line)
+            yield line
 
 
 def iter_unit_documents(unit: ShardUnit, stats: ReadStats) -> Iterator[str]:
@@ -220,7 +186,8 @@ def count_corpus(
     """Count a corpus into a sorted table file at `out` (plus meta sidecar)."""
     out = Path(out)
     units = corpus_units(path, fmt, shards)
-    partitions = [p for p in partition_units(units, max(shards, 1)) if p]
+    step = max(shards, 1)
+    partitions = [units[i::step] for i in range(min(step, len(units)))]
     digest = config.digest()
     with tempfile.TemporaryDirectory(prefix="freqgap-spill-") as spill_dir:
         args = (partitions, repeat(config), repeat(spill_dir), repeat(spill_threshold), count())

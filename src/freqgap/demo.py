@@ -104,16 +104,19 @@ def _wrap(token: str, rng: _Rng) -> str:
     return rng.pick(_PUNCT_PREFIX) + token + rng.pick(_PUNCT_SUFFIX)
 
 
+ARITH_POOL_SIZE = 70  # distinct numbers below 100 in the demo corpus
+SKEW_DECADES = 3.0  # the decades their unigram frequencies span
+POOL_DOCS = 2048  # distinct document lines of the throughput corpus
+
+
 def generate_demo_corpus(
     out_dir: Path | str,
     size_mb: float = 10.0,
     seed: int = 0,
-    arith_pool_size: int = 70,
-    skew_decades: float = 3.0,
 ) -> Path:
     """Write a demo corpus as one jsonl file and return its path.
 
-    Plants `arith_pool_size` distinct numbers below 100 with log-linear
+    Plants ARITH_POOL_SIZE distinct numbers below 100 with log-linear
     unigram skew, and pairs every two-digit number with every time unit
     at frequencies mixing a heavy top tier with a log-spaced tail.
     """
@@ -122,8 +125,8 @@ def generate_demo_corpus(
     path = out_dir / "demo.jsonl"
     rng = _Rng(seed)
 
-    small_values = rng.shuffled(range(100))[:arith_pool_size]
-    arith = _WeightedPool(small_values, _log_spaced_weights(arith_pool_size, skew_decades))
+    small_values = rng.shuffled(range(100))[:ARITH_POOL_SIZE]
+    arith = _WeightedPool(small_values, _log_spaced_weights(ARITH_POOL_SIZE, SKEW_DECADES))
 
     unit_pools = {}
     for unit in UNITS:
@@ -167,7 +170,6 @@ def generate_throughput_corpus(
     out_path: Path | str,
     size_bytes: int = 1_000_000_000,
     seed: int = 0,
-    pool_docs: int = 2048,
 ) -> Path:
     """Write a large flat jsonl corpus quickly by sampling from a pool of
     pre-serialized document lines."""
@@ -177,7 +179,7 @@ def generate_throughput_corpus(
     unit_words = [u + "s" for u in UNITS] + list(UNITS)
 
     pool: list[bytes] = []
-    for _ in range(pool_docs):
+    for _ in range(POOL_DOCS):
         tokens = []
         for _ in range(300 + rng.below(300)):
             r = rng.uniform()
@@ -195,7 +197,7 @@ def generate_throughput_corpus(
         batch: list[bytes] = []
         batch_bytes = 0
         while written < size_bytes:
-            line = pool[rng.below(pool_docs)]
+            line = pool[rng.below(POOL_DOCS)]
             batch.append(line)
             batch_bytes += len(line)
             written += len(line)

@@ -24,11 +24,14 @@ def sha256_text(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def sha256_file(path: Path | str, chunk_size: int = 1 << 20) -> str:
+_HASH_CHUNK = 1 << 20
+
+
+def sha256_file(path: Path | str) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as f:
         while True:
-            chunk = f.read(chunk_size)
+            chunk = f.read(_HASH_CHUNK)
             if not chunk:
                 break
             h.update(chunk)

@@ -138,6 +138,7 @@ class StubState:
         self.malformed = False
         self.wrong = False  # answer gold + 1
         self.delay = 0.0
+        self.hold = {}  # prompt -> threading.Event its replies wait for
         self.drop_after_response = False  # close without "Connection: close"
         self.authorization = []  # the Authorization header of each request
         self.connections = 0
@@ -198,6 +199,8 @@ class StubHandler(BaseHTTPRequestHandler):
         prompt = body["prompt"]
         if state.delay:
             time.sleep(state.delay)
+        if prompt in state.hold:
+            state.hold[prompt].wait(30.0)
         x1 = int(re.findall(r"What is (\d+)", prompt)[-1])
         with state.lock:
             state.attempts[prompt] += 1

@@ -173,13 +173,50 @@ def test_cli_endpoint_eval_after_a_mock_eval_scores_every_bundle_again(
 # --- exit codes ---------------------------------------------------------------
 
 
-def test_usage_error_exits_1(tmp_path):
+def test_usage_error_exits_1(workspace, tmp_path):
     assert main(["count", "--corpus", "/x"]) == 1  # missing --out
     assert main(["eval", "--bundles", "/x", "--out", "/y"]) == 1  # no scorer
     assert main(["nonsense"]) == 1
     out = tmp_path / "r"
     assert main(["eval", "--bundles", str(tmp_path), "--mock", "perfect", "--out", str(out)]) == 1
     assert not out.exists()  # no bundle files, no records
+    assert main([
+        "analyze", "--records", str(workspace / "results" / "records.jsonl"),
+        "--datasets", str(tmp_path), "--counts", str(workspace / "counts2"), "--out", str(out),
+    ]) == 1
+    assert not out.exists()  # no dataset files, no report
+
+
+def _stage_argv(workspace, command: str, out: str) -> list[str]:
+    """Arguments of a stage command that succeeds as it stands."""
+    return {
+        "count": ["count", "--corpus", str(workspace / "corpus" / "demo.jsonl")],
+        "prompts": ["prompts", "--dataset", str(workspace / "datasets" / "mult.jsonl"), "--k", "2"],
+        "analyze": [
+            "analyze", "--records", str(workspace / "results" / "records.jsonl"),
+            "--datasets", str(workspace / "datasets"), "--counts", str(workspace / "counts2"),
+        ],
+    }[command] + ["--out", out]
+
+
+@pytest.mark.parametrize(
+    "command,flag,value",
+    [
+        ("prompts", "--seeds", "0"),
+        ("prompts", "--k", "-1"),
+        ("count", "--shards", "0"),
+        ("count", "--shards", "-2"),
+        ("analyze", "--bins", "1"),
+        ("analyze", "--bins", "0"),
+    ],
+)
+def test_a_stage_flag_is_checked_like_its_config_field(
+    workspace, tmp_path, capsys, command, flag, value
+):
+    out = tmp_path / "out"
+    assert main(_stage_argv(workspace, command, str(out)) + [flag, value]) == 1
+    assert f"freqgap: {flag}: " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bad_config_exits_1(tmp_path):

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -360,6 +361,33 @@ def test_journal_survives_unreachable_endpoint(stub, tmp_path):
         evaluate(bundles, endpoint=bad, journal=journal, resume=True, sleep=NO_SLEEP)
     persisted = [json.loads(line) for line in journal.read_text().splitlines()]
     assert len(persisted) == 6
+
+
+def test_records_are_journaled_as_they_complete(stub, tmp_path):
+    # bundle 0's reply is held back; a journal kept in submission order
+    # would stay empty until it came
+    state, url = stub
+    bundles = _bundles(12)
+    release = state.hold[bundles[0].rendered] = threading.Event()
+    journal = tmp_path / "journal.jsonl"
+    lines = lambda: journal.read_bytes().count(b"\n") if journal.exists() else 0
+    endpoint = _endpoint(url, max_in_flight=2, timeout=60.0)
+    results = []
+    thread = threading.Thread(
+        target=lambda: results.append(evaluate(bundles, endpoint=endpoint, journal=journal))
+    )
+    thread.start()
+    try:
+        deadline = time.monotonic() + 10.0
+        while lines() < len(bundles) - 1 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert lines() == len(bundles) - 1
+    finally:
+        release.set()
+        thread.join(timeout=60.0)
+    assert not thread.is_alive()
+    assert len(results[0]) == len(bundles) == lines()
+    assert state.requests == len(bundles)
 
 
 def test_completion_order_independence(stub):

@@ -1,16 +1,20 @@
+import gzip
 import itertools
+import json
 import os
 import random
 import signal
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import freqgap
+import freqgap.corpus as corpus_mod
 import freqgap.counting as counting_mod
 from freqgap.corpus import count_corpus, merge_table_files
 from freqgap.counting import (
@@ -447,8 +451,6 @@ def _write_corpus(tmp_path, docs, files=4):
 
 
 def _json_str(s):
-    import json
-
     return json.dumps(s)
 
 
@@ -552,8 +554,6 @@ def test_text_format_one_document_per_file(tmp_path):
 
 
 def test_gzip_and_invalid_utf8_handling(tmp_path):
-    import gzip
-
     root = tmp_path / "corpus"
     root.mkdir()
     with gzip.open(root / "a.txt.gz", "wb") as f:
@@ -578,23 +578,18 @@ def test_jsonl_skips_malformed_records(tmp_path):
     assert meta.skipped_documents == 3
 
 
-@pytest.mark.parametrize("block", [1, 5, 64])
-def test_byte_range_units_read_the_lines_of_a_plain_read(tmp_path, monkeypatch, block):
-    # A document longer than the block, an empty line, a non-ASCII one,
-    # and a last line without its newline; the cuts put range starts on
-    # every byte, inside lines and on line starts.
-    import json
-
-    import freqgap.corpus as corpus_mod
+def test_byte_range_units_read_the_lines_of_a_plain_read(tmp_path):
+    # A long document, an empty line, a non-ASCII one, and a last line
+    # without its newline; the cuts put range starts on every byte,
+    # inside lines and on line starts.
     from freqgap.corpus import ReadStats, ShardUnit, iter_unit_documents
 
-    texts = ["1 2", "12 minutes make a longer line than any block " * 3, "x", "30 hours \u00e9"]
+    texts = ["1 2", "12 minutes make a longer line than the others " * 3, "x", "30 hours \u00e9"]
     data = b"\n".join(json.dumps({"text": t}).encode() for t in texts[:2])
     data += b"\n\n" + b"\n".join(json.dumps({"text": t}).encode() for t in texts[2:])
     path = tmp_path / "data.jsonl"
     path.write_bytes(data)
     assert [json.loads(line)["text"] for line in data.splitlines() if line] == texts
-    monkeypatch.setattr(corpus_mod, "_READ_BLOCK", block)
     size = len(data)
     cut_lists = [[0, size]] + [[0, c, size] for c in range(1, size)]
     cut_lists += [[0, c, c + 9, size] for c in range(1, size - 9, 7)]
@@ -607,6 +602,54 @@ def test_byte_range_units_read_the_lines_of_a_plain_read(tmp_path, monkeypatch, 
         ]
         assert read == texts, cuts
         assert (stats.documents, stats.skipped) == (len(texts), 0)
+
+
+_SPLIT_TOKENS = ["1", "7", "12", "30", "99", "1234", "hours", "Minutes", "day", "é", "30é", "٣", "(7)"]
+_SPLIT_LINES = st.one_of(
+    st.builds(
+        lambda tokens, ascii_only: json.dumps({"text": " ".join(tokens)}, ensure_ascii=ascii_only),
+        st.lists(st.sampled_from(_SPLIT_TOKENS), max_size=20),
+        st.booleans(),
+    ).map(str.encode),
+    st.sampled_from([b"", b"  ", b"not json", b'{"no_text": 1}', b'{"text": 5}', b"\xff 3 hours"]),
+)
+
+
+@settings(
+    max_examples=10, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    # (lines, whether the last one ends in a newline) per file
+    files=st.lists(
+        st.tuples(st.lists(_SPLIT_LINES, max_size=30), st.booleans()), min_size=1, max_size=3
+    ),
+    gz=st.booleans(),
+    shard_counts=st.lists(st.integers(2, 8), min_size=1, max_size=3, unique=True),
+)
+def test_count_corpus_is_shard_invariant_over_byte_ranges(
+    tmp_path, monkeypatch, files, gz, shard_counts
+):
+    # every uncompressed file is cut into byte ranges, down to more
+    # ranges than bytes; the first file is gzipped when gz holds
+    monkeypatch.setattr(corpus_mod, "_SPLIT_MIN_BYTES", 1)
+    root = Path(tempfile.mkdtemp(dir=tmp_path))
+    corpus = root / "corpus"
+    corpus.mkdir()
+    for i, (lines, final_newline) in enumerate(files):
+        data = b"\n".join(lines) + b"\n" * final_newline
+        if gz and i == 0:
+            (corpus / "part0.jsonl.gz").write_bytes(gzip.compress(data, mtime=0))
+        else:
+            (corpus / f"part{i}.jsonl").write_bytes(data)
+
+    def count(shards):
+        out = root / f"shards{shards}" / "counts.tsv"
+        count_corpus(corpus, "jsonl", CFG, out, shards=shards, workers=2)
+        return out.read_bytes(), out.with_suffix(".meta.json").read_bytes()
+
+    expected = count(1)
+    for shards in shard_counts:
+        assert count(shards) == expected, shards
 
 
 def test_merge_table_files(tmp_path):
