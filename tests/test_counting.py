@@ -578,13 +578,14 @@ def test_jsonl_skips_malformed_records(tmp_path):
     assert meta.skipped_documents == 3
 
 
-def test_byte_range_units_read_the_lines_of_a_plain_read(tmp_path):
-    # A long document, an empty line, a non-ASCII one, and a last line
-    # without its newline; the cuts put range starts on every byte,
-    # inside lines and on line starts.
+@pytest.mark.parametrize("repeats", [1, 5, 64])
+def test_byte_range_units_read_the_lines_of_a_plain_read(tmp_path, repeats):
+    # A document of `repeats` sentences, an empty line, a non-ASCII one,
+    # and a last line without its newline; the cuts put range starts on
+    # every byte, inside lines and on line starts.
     from freqgap.corpus import ReadStats, ShardUnit, iter_unit_documents
 
-    texts = ["1 2", "12 minutes make a longer line than the others " * 3, "x", "30 hours \u00e9"]
+    texts = ["1 2", "12 minutes make a longer line than the others " * repeats, "x", "30 hours \u00e9"]
     data = b"\n".join(json.dumps({"text": t}).encode() for t in texts[:2])
     data += b"\n\n" + b"\n".join(json.dumps({"text": t}).encode() for t in texts[2:])
     path = tmp_path / "data.jsonl"
