@@ -3,9 +3,9 @@
 
 Generates the demo corpus (log-linear frequency skew), runs the full
 pipeline against the freq_logistic mock (correct with probability
-sigmoid(a*log10(freq+1)+b) per group), prints each stage's seconds as
-recorded in the run's manifest.json, then compares the measured
+sigmoid(a*log10(freq+1)+b) per group), then compares the measured
 performance gap per task against the closed form implied by the mock.
+The run's stage seconds are timed by scripts/bench.py (its paper-run).
 """
 
 import argparse
@@ -42,10 +42,6 @@ def main() -> None:
     run_pipeline(config)
 
     out = config.out
-    stages = json.loads((out / "manifest.json").read_text())["stages"]
-    print(f"\n{'stage':<12} {'seconds':>8}")
-    for name, stage in sorted(stages.items(), key=lambda item: item[1]["started_at"]):
-        print(f"{name:<12} {stage['completed_at'] - stage['started_at']:>8.2f}")
     counts = CountTable.load(out / "counts" / "pass2" / "counts.tsv")
     records = load_records(out / "records" / "records.jsonl")
     by_task = defaultdict(list)

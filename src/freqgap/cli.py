@@ -74,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, type=Path, help="output directory")
     p.add_argument("--targets", type=Path, help="term-set file for a targeted pass")
     p.add_argument("--shards", type=int, default=1)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=None, help="count processes (default: every CPU)")
 
     p = sub.add_parser("merge", help="merge count tables")
     p.add_argument("--out", required=True, type=Path)
@@ -137,6 +137,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_count(args) -> int:
     _check_flag("--shards", "shards", args.shards)
+    if args.workers is not None and args.workers < 1:  # left out, it means every CPU
+        raise UsageError("--workers: must be >= 1")
     try:
         config = CounterConfig(window=args.window, max_number_digits=args.max_digits)
         if args.targets is not None:

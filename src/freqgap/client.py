@@ -10,6 +10,7 @@ regardless of completion order.
 
 from __future__ import annotations
 
+import hashlib
 import http.client
 import json
 import logging
@@ -20,14 +21,14 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from contextlib import ExitStack
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 from urllib.parse import urlsplit
 
 from .counting import CountTable
-from .tasks import PromptBundle, default_keys, resolve_grouping
-from .util import atomic_open, sha256_text, sorted_json, unit_uniform
+from .tasks import PromptBundle, TaskInstance, default_keys, render_prompt, resolve_grouping
+from .util import atomic_open, unit_uniform
 
 log = logging.getLogger(__name__)
 
@@ -125,11 +126,22 @@ class EvalRecord:
     error: str | None = None
 
 
-_RECORD_FIELDS = sorted(f.name for f in fields(EvalRecord))
+_json_str = json.encoder.encode_basestring_ascii
 
 
-def _record_line(record: EvalRecord) -> str:
-    return sorted_json({name: getattr(record, name) for name in _RECORD_FIELDS}) + "\n"
+def _record_line(r: EvalRecord) -> str:
+    """sorted_json of the record's fields plus a newline, filled into a
+    fixed template: strings encoded as the encoder encodes them, numbers
+    by their repr."""
+    return (
+        f'{{"correct": {"true" if r.correct else "false"}, '
+        f'"error": {"null" if r.error is None else _json_str(r.error)}, '
+        f'"extracted": {"null" if r.extracted is None else repr(r.extracted)}, '
+        f'"instance_id": {_json_str(r.instance_id)}, "k": {r.k!r}, "latency": {r.latency!r}, '
+        f'"prompt_digest": {_json_str(r.prompt_digest)}, '
+        f'"raw_output": {_json_str(r.raw_output)}, "seed": {r.seed!r}, '
+        f'"task_id": {_json_str(r.task_id)}}}\n'
+    )
 
 
 _DIGITS_RE = re.compile(r"[0-9]+")
@@ -295,22 +307,6 @@ class _HttpCompleter:
         return "", f"failed after {ep.max_attempts} attempts ({last_note})"
 
 
-def _make_record(bundle: PromptBundle, raw: str, error: str | None, latency: float) -> EvalRecord:
-    extracted = extract_answer(raw) if error is None else None
-    return EvalRecord(
-        instance_id=bundle.test_instance.instance_id,
-        task_id=bundle.test_instance.task_id,
-        k=bundle.k,
-        seed=bundle.seed,
-        prompt_digest=sha256_text(bundle.rendered)[:16],
-        raw_output=raw,
-        extracted=extracted,
-        correct=score(extracted, bundle.gold),
-        latency=latency,
-        error=error,
-    )
-
-
 def evaluate(
     bundles: Sequence[PromptBundle],
     endpoint: EndpointConfig | None = None,
@@ -344,13 +340,52 @@ def evaluate(
         records = list(done.values())
         pending = [b for b in bundles if (b.test_instance.instance_id, b.k, b.seed) not in done]
 
+    # Work done once per shot set and once per instance: the sha256 state
+    # over a shot block, which each of its prompts' digests continues, and
+    # the mock's count of an instance.  Counts are kept for one task at a
+    # time (bundles come grouped by task), which bounds the cache.
+    shot_hashes: dict[str, Any] = {}
+    freqs: dict[TaskInstance, int] = {}
+
+    def mock_freq(bundle: PromptBundle) -> int:
+        inst = bundle.test_instance
+        freq = freqs.get(inst)
+        if freq is None:
+            if freqs and next(iter(freqs)).task_id != inst.task_id:
+                freqs.clear()
+            freq = freqs[inst] = counts.query(primary_term_set(bundle))
+        return freq
+
     def score_bundle(bundle: PromptBundle) -> EvalRecord:
+        inst = bundle.test_instance
+        question = render_prompt(inst, with_answer=False)
+        shot_hash = shot_hashes.get(bundle.shot_block)
+        if shot_hash is None:
+            shot_hash = shot_hashes[bundle.shot_block] = hashlib.sha256(
+                bundle.shot_block.encode("utf-8")
+            )
+        prompt_hash = shot_hash.copy()
+        prompt_hash.update(question.encode("utf-8"))
         if mock is not None:
-            freq = counts.query(primary_term_set(bundle)) if counts is not None else 0
-            return _make_record(bundle, mock_generate(bundle, freq, mock), None, 0.0)
-        start = time.perf_counter()
-        raw, error = completer.complete(bundle.rendered)
-        return _make_record(bundle, raw, error, time.perf_counter() - start)
+            freq = mock_freq(bundle) if mock.reads_counts else 0
+            raw, error, latency = mock_generate(bundle, freq, mock), None, 0.0
+        else:
+            start = time.perf_counter()
+            raw, error = completer.complete(bundle.shot_block + question)
+            latency = time.perf_counter() - start
+        extracted = extract_answer(raw) if error is None else None
+        return EvalRecord(
+            instance_id=inst.instance_id,
+            task_id=inst.task_id,
+            k=bundle.k,
+            seed=bundle.seed,
+            prompt_digest=prompt_hash.hexdigest()[:16],
+            raw_output=raw,
+            extracted=extracted,
+            correct=score(extracted, inst.y),
+            latency=latency,
+            error=error,
+        )
 
     with ExitStack() as stack:
         journal_file = None

@@ -385,12 +385,13 @@ def run_prompts(
         if not dataset:
             raise DatasetError("a dataset without instances has no prompts")
         task_id = dataset[0].task_id
+        fragments: dict = {}  # shared by the dataset's files: each instance is encoded once
         for k in ks:
             for s in range(seeds):
                 bundles = build_fewshot_prompts(
                     dataset, k, seed=s, shot_seed=derive_seed(base_seed, task_id, k, s)
                 )
-                save_bundles(bundles, _prompt_file(out_dir, task_id, k, s))
+                save_bundles(bundles, _prompt_file(out_dir, task_id, k, s), fragments)
                 written.extend(bundles)
     return written
 

@@ -259,11 +259,12 @@ def derive_query_sets(datasets: Iterable[Sequence[TaskInstance]]) -> list[tuple[
 # File formats
 
 
-def _instance_record(inst: TaskInstance) -> dict:
+def _answered_record(inst: TaskInstance) -> dict:
     record = {
         "instance_id": inst.instance_id,
         "task_id": inst.task_id,
         "x": [term_str(c) for c in inst.x],
+        "y": inst.y,
     }
     if inst.factor is not None:
         record["factor"] = inst.factor
@@ -280,10 +281,6 @@ def _instance_from_record(rec: dict, y: int) -> TaskInstance:
     )
 
 
-def _answered_record(inst: TaskInstance) -> dict:
-    return {**_instance_record(inst), "y": inst.y}
-
-
 def save_dataset(instances: Sequence[TaskInstance], path: Path | str) -> None:
     with atomic_open(path) as f:
         for inst in instances:
@@ -295,22 +292,47 @@ def load_dataset(path: Path | str) -> list[TaskInstance]:
         return [_instance_from_record(rec, rec["y"]) for rec in map(json.loads, f)]
 
 
-def save_bundles(bundles: Sequence[PromptBundle], path: Path | str) -> None:
+def _bundle_fragments(inst: TaskInstance) -> tuple[str, str]:
+    """The JSON of a test instance's bundle lines around their per-line
+    fields (k, seed, shot_set, shots): before them the keys that sort
+    first (factor, gold, instance_id), after them task_id and x."""
+    head = {"gold": inst.y, "instance_id": inst.instance_id}
+    if inst.factor is not None:
+        head["factor"] = inst.factor
+    tail = {"task_id": inst.task_id, "x": [term_str(c) for c in inst.x]}
+    return sorted_json(head)[:-1] + ", ", sorted_json(tail)[1:] + "\n"
+
+
+def save_bundles(
+    bundles: Sequence[PromptBundle],
+    path: Path | str,
+    fragments: dict[TaskInstance, tuple[str, str]] | None = None,
+) -> None:
     """One bundle per line (layout in README.md): the test instance, so
     evaluation runs without a dataset join, its k, and the index of its
-    shot set, whose instances the set's first line carries."""
+    shot set, whose instances the set's first line carries.
+
+    Each line is sorted_json of that record, assembled from the JSON
+    fragments of its test instance; `fragments` keeps them across calls,
+    so a caller writing several files of one dataset encodes each
+    instance once.
+    """
+    if fragments is None:
+        fragments = {}
     set_index: dict[int, int] = {}  # id(bundle.shots) -> shot_set
     with atomic_open(path) as f:
         for b in bundles:
-            record = {
-                **_instance_record(b.test_instance), "seed": b.seed, "k": b.k, "gold": b.gold
-            }
+            inst = b.test_instance
+            ends = fragments.get(inst)
+            if ends is None:
+                ends = fragments[inst] = _bundle_fragments(inst)
             index = set_index.get(id(b.shots))
+            shots = ""
             if index is None:
                 index = set_index[id(b.shots)] = len(set_index)
-                record["shots"] = [_answered_record(s) for s in b.shots]
-            record["shot_set"] = index
-            f.write(sorted_json(record) + "\n")
+                shots = f', "shots": {sorted_json([_answered_record(s) for s in b.shots])}'
+            head, tail = ends
+            f.write(f'{head}"k": {b.k}, "seed": {b.seed}, "shot_set": {index}{shots}, {tail}')
 
 
 def load_bundles(path: Path | str) -> list[PromptBundle]:

@@ -58,13 +58,13 @@ def atomic_open(path: Path | str, mode: str = "w") -> Iterator[Any]:
 
 def derive_seed(*parts: Any) -> int:
     """Stable 63-bit seed from a sequence of hashable labels."""
-    text = "|".join(str(p) for p in parts)
+    text = "|".join(map(str, parts))
     digest = hashlib.sha256(text.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") >> 1
 
 
 def unit_uniform(*parts: Any) -> float:
     """Stable uniform draw in [0, 1) keyed by the given labels."""
-    text = "|".join(str(p) for p in parts)
+    text = "|".join(map(str, parts))
     digest = hashlib.sha256(text.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") / 2**64

@@ -206,6 +206,8 @@ def _stage_argv(workspace, command: str, out: str) -> list[str]:
         ("prompts", "--k", "-1"),
         ("count", "--shards", "0"),
         ("count", "--shards", "-2"),
+        ("count", "--workers", "0"),
+        ("count", "--workers", "-1"),
         ("analyze", "--bins", "1"),
         ("analyze", "--bins", "0"),
     ],

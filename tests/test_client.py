@@ -8,13 +8,17 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import freqgap
 from freqgap.client import (
     TOKEN_ENV_VAR,
     EndpointConfig,
     EndpointUnreachable,
+    EvalRecord,
     MockPolicy,
+    _record_line,
     apply_stop_sequences,
     evaluate,
     extract_answer,
@@ -28,6 +32,7 @@ from freqgap.client import (
 )
 from freqgap.tasks import build_fewshot_prompts, load_bundles, make_instance, save_bundles
 from freqgap.terms import term_set, unit_term
+from freqgap.util import sha256_text, sorted_json
 
 NO_SLEEP = lambda _t: None
 
@@ -250,6 +255,44 @@ def test_records_directory_form_skips_the_journal(tmp_path):
     save_records(records, tmp_path / "records.jsonl")
     assert len((tmp_path / "journal.jsonl").read_text().splitlines()) == len(records)
     assert load_records(tmp_path) == records
+
+
+_TEXT = st.text(st.sampled_from('a Z0"\\/\x00\x1f\n\t\x7f\x80éß€\u2028\ufeff😀')) | st.text()
+
+
+@given(
+    st.builds(
+        EvalRecord,
+        instance_id=_TEXT,
+        task_id=_TEXT,
+        k=st.integers(0, 64),
+        seed=st.integers(0, 2**63),
+        prompt_digest=_TEXT,
+        raw_output=_TEXT,
+        extracted=st.none() | st.just(0) | st.integers(0, 10**40),
+        correct=st.booleans(),
+        latency=st.sampled_from([0.0, 5e-324, 1e-300, 1.5e-7, 1e22, 1.7976931348623157e308])
+        | st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+        error=st.none() | _TEXT,
+    )
+)
+@settings(max_examples=300)
+def test_record_lines_are_the_sorted_json_of_their_fields(record):
+    fields = {f.name: getattr(record, f.name) for f in dataclasses.fields(EvalRecord)}
+    assert _record_line(record) == sorted_json(fields) + "\n"
+
+
+def test_prompt_digests_are_the_sha256_of_the_rendered_prompt(stub):
+    _state, url = stub
+    bundles = _bundles(8) + _bundles(8, k=0) + _bundles(6, k=4)
+    rendered = {(b.test_instance.instance_id, b.k, b.seed): b.rendered for b in bundles}
+    for records in (
+        evaluate(bundles, mock=MockPolicy("perfect")),
+        evaluate(bundles, endpoint=_endpoint(url), sleep=NO_SLEEP),
+    ):
+        assert len(records) == len(bundles)
+        for r in records:
+            assert r.prompt_digest == sha256_text(rendered[r.instance_id, r.k, r.seed])[:16]
 
 
 # --- endpoint config -------------------------------------------------------

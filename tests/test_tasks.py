@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from freqgap.counting import CounterConfig, CountTable
 from freqgap.tasks import (
     ALL_TASKS,
+    ARITH_TASKS,
     CONVERSION_TASKS,
     DatasetError,
     build_fewshot_prompts,
@@ -23,8 +24,8 @@ from freqgap.tasks import (
     save_bundles,
     save_dataset,
 )
-from freqgap.terms import key_str, term_set, unit_term
-from freqgap.util import sha256_text
+from freqgap.terms import key_str, term_set, term_str, unit_term
+from freqgap.util import sha256_text, sorted_json
 
 GOLDEN = Path(__file__).parent / "golden" / "prompts.txt"
 
@@ -320,6 +321,67 @@ def test_bundle_roundtrip(tmp_path):
     assert [fields(b) for b in loaded] == [fields(b) for b in bundles]
     save_bundles(loaded, tmp_path / "again.jsonl")
     assert (tmp_path / "again.jsonl").read_bytes() == path.read_bytes()
+
+
+def _bundle_line(bundle, shot_set, first_of_set):
+    """A save_bundles line built the plain way: sorted_json of its record dict."""
+
+    def answered(inst):
+        record = {"instance_id": inst.instance_id, "task_id": inst.task_id,
+                  "x": [term_str(c) for c in inst.x], "y": inst.y}
+        if inst.factor is not None:
+            record["factor"] = inst.factor
+        return record
+
+    record = {**answered(bundle.test_instance), "seed": bundle.seed, "k": bundle.k,
+              "gold": bundle.gold, "shot_set": shot_set}
+    del record["y"]
+    if first_of_set:
+        record["shots"] = [answered(s) for s in bundle.shots]
+    return sorted_json(record) + "\n"
+
+
+_INSTANCES = st.one_of(  # arithmetic ones have no factor; conversions a factor and a unit term
+    st.builds(
+        lambda task_id, x1, x2: make_instance(task_id, (x1, x2)),
+        st.sampled_from(ARITH_TASKS), st.integers(0, 99), st.integers(1, 50),
+    ),
+    st.builds(
+        lambda task_id, x1: make_instance(task_id, (x1, unit_term(CONVERSION_TASKS[task_id][0]))),
+        st.sampled_from(sorted(CONVERSION_TASKS)), st.integers(1, 99),
+    ),
+)
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.lists(_INSTANCES, min_size=1, max_size=10, unique_by=lambda i: i.instance_id),
+            st.integers(0, 4),
+            st.integers(0, 3),
+        ),
+        min_size=1,
+        max_size=4,
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_bundle_lines_are_the_sorted_json_of_their_records(tmp_path_factory, draws):
+    bundles = [
+        b for dataset, k, seed in draws
+        for b in build_fewshot_prompts(dataset, min(k, len(dataset) - 1), seed)
+    ]
+    expected, set_index = [], {}
+    for b in bundles:
+        first = id(b.shots) not in set_index
+        index = set_index.setdefault(id(b.shots), len(set_index))
+        expected.append(_bundle_line(b, index, first))
+    directory = tmp_path_factory.mktemp("bundles")
+    fragments = {}  # shared by two files, as run_prompts shares one per dataset
+    for name in ("a.jsonl", "b.jsonl"):
+        save_bundles(bundles, directory / name, fragments)
+        assert (directory / name).read_text().splitlines(keepends=True) == expected
+    save_bundles(load_bundles(directory / "a.jsonl"), directory / "again.jsonl")
+    assert (directory / "again.jsonl").read_bytes() == (directory / "a.jsonl").read_bytes()
 
 
 def test_load_bundles_names_the_file_of_a_line_without_its_shot_set(tmp_path):
