@@ -326,18 +326,17 @@ def test_bundle_roundtrip(tmp_path):
 def _bundle_line(bundle, shot_set, first_of_set):
     """A save_bundles line built the plain way: sorted_json of its record dict."""
 
-    def answered(inst):
+    def instance_record(inst, **fields):
         record = {"instance_id": inst.instance_id, "task_id": inst.task_id,
-                  "x": [term_str(c) for c in inst.x], "y": inst.y}
+                  "x": [term_str(c) for c in inst.x], **fields}
         if inst.factor is not None:
             record["factor"] = inst.factor
         return record
 
-    record = {**answered(bundle.test_instance), "seed": bundle.seed, "k": bundle.k,
-              "gold": bundle.gold, "shot_set": shot_set}
-    del record["y"]
+    record = instance_record(bundle.test_instance, seed=bundle.seed, k=bundle.k,
+                             gold=bundle.gold, shot_set=shot_set)
     if first_of_set:
-        record["shots"] = [answered(s) for s in bundle.shots]
+        record["shots"] = [instance_record(s, y=s.y) for s in bundle.shots]
     return sorted_json(record) + "\n"
 
 
