@@ -347,15 +347,6 @@ def evaluate(
     shot_hashes: dict[str, Any] = {}
     freqs: dict[TaskInstance, int] = {}
 
-    def mock_freq(bundle: PromptBundle) -> int:
-        inst = bundle.test_instance
-        freq = freqs.get(inst)
-        if freq is None:
-            if freqs and next(iter(freqs)).task_id != inst.task_id:
-                freqs.clear()
-            freq = freqs[inst] = counts.query(primary_term_set(bundle))
-        return freq
-
     def score_bundle(bundle: PromptBundle) -> EvalRecord:
         inst = bundle.test_instance
         question = render_prompt(inst, with_answer=False)
@@ -367,7 +358,11 @@ def evaluate(
         prompt_hash = shot_hash.copy()
         prompt_hash.update(question.encode("utf-8"))
         if mock is not None:
-            freq = mock_freq(bundle) if mock.reads_counts else 0
+            freq = freqs.get(inst) if mock.reads_counts else 0
+            if freq is None:
+                if freqs and next(iter(freqs)).task_id != inst.task_id:
+                    freqs.clear()
+                freq = freqs[inst] = counts.query(primary_term_set(bundle))
             raw, error, latency = mock_generate(bundle, freq, mock), None, 0.0
         else:
             start = time.perf_counter()
