@@ -22,6 +22,7 @@ from .demo import generate_demo_corpus
 from .pipeline import (
     CONFIG_FIELDS,
     ConfigError,
+    RunConfig,
     run_analyze,
     run_eval,
     run_gen,
@@ -69,11 +70,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", help="count term co-occurrences over a corpus")
     p.add_argument("--corpus", required=True, type=Path)
     p.add_argument("--format", choices=CORPUS_FORMATS, default="jsonl")
-    p.add_argument("--window", type=int, default=5)
-    p.add_argument("--max-digits", type=int, default=6)
+    p.add_argument("--window", type=int, default=CounterConfig.window)
+    p.add_argument("--max-digits", type=int, default=CounterConfig.max_number_digits)
     p.add_argument("--out", required=True, type=Path, help="output directory")
     p.add_argument("--targets", type=Path, help="term-set file for a targeted pass")
-    p.add_argument("--shards", type=int, default=1)
+    p.add_argument("--shards", type=int, default=RunConfig.shards)
     p.add_argument("--workers", type=int, default=None, help="count processes (default: every CPU)")
 
     p = sub.add_parser("merge", help="merge count tables")
@@ -92,8 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prompts", help="assemble k-shot prompt bundles")
     p.add_argument("--dataset", required=True, type=Path)
     p.add_argument("--k", required=True, type=int)
-    p.add_argument("--seeds", type=int, default=5)
-    p.add_argument("--base-seed", type=int, default=0)
+    p.add_argument("--seeds", type=int, default=RunConfig.seeds)
+    p.add_argument("--base-seed", type=int, default=RunConfig.seed)
     p.add_argument("--out", required=True, type=Path, help="output directory")
 
     p = sub.add_parser("eval", help="score prompt bundles against an endpoint or mock")
@@ -103,10 +104,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mock", help="perfect | always_wrong | freq_logistic:A,B[,SEED]")
     p.add_argument("--counts", type=Path, help="count table for the freq_logistic mock")
     p.add_argument("--out", required=True, type=Path, help="output directory")
-    p.add_argument("--max-in-flight", type=int, default=4)
-    p.add_argument("--max-new-tokens", type=int, default=8)
-    p.add_argument("--max-attempts", type=int, default=4)
-    p.add_argument("--timeout", type=float, default=30.0)
+    p.add_argument("--max-in-flight", type=int, default=EndpointConfig.max_in_flight)
+    p.add_argument("--max-new-tokens", type=int, default=EndpointConfig.max_new_tokens)
+    p.add_argument("--max-attempts", type=int, default=EndpointConfig.max_attempts)
+    p.add_argument("--timeout", type=float, default=EndpointConfig.timeout)
     p.add_argument("--no-resume", action="store_true")
 
     p = sub.add_parser("analyze", help="compute accuracy, gaps, bins, and trends")
@@ -114,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--datasets", required=True, type=Path)
     p.add_argument("--counts", required=True, type=Path)
     p.add_argument("--keys", help=f"comma list from {','.join(GROUPING_KEYS)} (default: per family)")
-    p.add_argument("--bins", type=int, default=10)
+    p.add_argument("--bins", type=int, default=RunConfig.bins)
     p.add_argument("--ks", help="comma list of shot counts (default: those present)")
     p.add_argument("--label", default="")
     p.add_argument("--out", required=True, type=Path, help="output directory")
@@ -230,6 +231,8 @@ def _cmd_analyze(args) -> int:
         ks = [int(k) for k in args.ks.split(",")] if args.ks else None
     except ValueError as exc:
         raise UsageError(f"--ks: {exc}") from exc
+    if ks is not None:
+        _check_flag("--ks", "ks", ks)
     datasets = [load_dataset(p) for p in _jsonl_files(args.datasets, "dataset")]
     counts = CountTable.load(args.counts)
     run_analyze(records, datasets, counts, args.out, args.label, ks=ks, keys=keys, bins=args.bins)

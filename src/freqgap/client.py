@@ -205,10 +205,6 @@ def apply_stop_sequences(text: str, stops: Sequence[str]) -> str:
     return text
 
 
-def _record_sort_key(record: EvalRecord) -> tuple:
-    return (record.task_id, record.k, record.seed, record.instance_id)
-
-
 class _HttpCompleter:
     """Thread-safe completion calls with retries and bounded backoff.
 
@@ -402,7 +398,7 @@ def evaluate(
                 journal_file.write(_record_line(record))
                 journal_file.flush()
 
-    records.sort(key=_record_sort_key)
+    records.sort(key=lambda r: (r.task_id, r.k, r.seed, r.instance_id))
     return records
 
 
@@ -424,9 +420,9 @@ def _read_journal(path: Path) -> list[EvalRecord]:
 
 
 def save_records(records: Sequence[EvalRecord], path: Path | str) -> None:
-    ordered = sorted(records, key=_record_sort_key)
+    """Write records in the order given: evaluate's canonical order."""
     with atomic_open(path) as f:
-        for rec in ordered:
+        for rec in records:
             f.write(_record_line(rec))
 
 

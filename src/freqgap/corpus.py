@@ -55,12 +55,6 @@ _SPLIT_MIN_BYTES = 8 << 20
 DEFAULT_SPILL_THRESHOLD = 4_000_000
 
 
-@dataclass
-class ReadStats:
-    documents: int = 0
-    skipped: int = 0
-
-
 @dataclass(frozen=True)
 class ShardUnit:
     """One independently readable slice of the corpus."""
@@ -112,17 +106,17 @@ def _iter_jsonl_lines(unit: ShardUnit) -> Iterator[bytes]:
             yield line
 
 
-def iter_unit_documents(unit: ShardUnit, stats: ReadStats) -> Iterator[str]:
-    """Decode one shard unit into document texts, counting skipped records."""
+def iter_unit_documents(unit: ShardUnit, meta: CountMeta) -> Iterator[str]:
+    """Decode one shard unit into document texts, adding skipped records
+    to meta.skipped_documents."""
     if unit.fmt == "text":
         path = Path(unit.path)
         raw = gzip.open(path, "rb").read() if path.suffix == ".gz" else path.read_bytes()
         try:
             text = raw.decode("utf-8")
         except UnicodeDecodeError:
-            stats.skipped += 1
+            meta.skipped_documents += 1
             return
-        stats.documents += 1
         yield text
         return
     loads = json.loads
@@ -135,9 +129,8 @@ def iter_unit_documents(unit: ShardUnit, stats: ReadStats) -> Iterator[str]:
             if not isinstance(text, str):
                 raise TypeError
         except (UnicodeDecodeError, ValueError, KeyError, TypeError):
-            stats.skipped += 1
+            meta.skipped_documents += 1
             continue
-        stats.documents += 1
         yield text
 
 
@@ -147,14 +140,13 @@ def _count_units(
     spill_dir: str,
     spill_threshold: int,
     partition: int,
-) -> tuple[list[str], int, int, int]:
+) -> tuple[list[str], CountMeta]:
     # The counting loop allocates no reference cycles, so generational
     # GC only costs time here.
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
         acc = _ShardAccumulator(config)
-        stats = ReadStats()
         spills: list[str] = []
 
         def spill() -> None:
@@ -163,12 +155,12 @@ def _count_units(
             spills.append(str(path))
 
         for unit in units:
-            for text in iter_unit_documents(unit, stats):
+            for text in iter_unit_documents(unit, acc.meta):
                 acc.add_document(text)
                 if acc.size >= spill_threshold:
                     spill()
         spill()
-        return spills, acc.documents, acc.tokens, stats.skipped
+        return spills, acc.meta
     finally:
         if gc_was_enabled:
             gc.enable()
@@ -188,7 +180,7 @@ def count_corpus(
     units = corpus_units(path, fmt, shards)
     step = max(shards, 1)
     partitions = [units[i::step] for i in range(min(step, len(units)))]
-    digest = config.digest()
+    named = CountMeta(corpus=Path(path).name, config_digest=config.digest())  # before the fork
     with tempfile.TemporaryDirectory(prefix="freqgap-spill-") as spill_dir:
         args = (partitions, repeat(config), repeat(spill_dir), repeat(spill_threshold), count())
         if len(partitions) <= 1:
@@ -201,12 +193,8 @@ def count_corpus(
             fork = multiprocessing.get_context("fork")
             with ProcessPoolExecutor(nproc, mp_context=fork) as pool:
                 results = list(pool.map(_count_units, *args))
-        spills: list[Path] = []
-        metas = [CountMeta(corpus=Path(path).name, config_digest=digest)]
-        for paths, documents, tokens, skipped in results:
-            spills.extend(Path(p) for p in paths)
-            metas.append(CountMeta("", digest, documents, tokens, skipped))
-        meta = combine_metas(metas)
+        spills = [Path(p) for paths, _ in results for p in paths]
+        meta = combine_metas([named] + [shard_meta for _, shard_meta in results])
         merge_sorted_count_files(spills, out, meta)
     log.info(
         "counted %s: %d documents, %d tokens, %d skipped -> %s",
@@ -215,11 +203,11 @@ def count_corpus(
     return meta
 
 
-def iter_corpus_documents(path: Path | str, fmt: str, stats: ReadStats | None = None) -> Iterator[str]:
+def iter_corpus_documents(path: Path | str, fmt: str) -> Iterator[str]:
     """All documents of a corpus in deterministic order."""
-    stats = stats if stats is not None else ReadStats()
+    skipped = CountMeta(corpus="", config_digest="")
     for unit in corpus_units(path, fmt, shards=1):
-        yield from iter_unit_documents(unit, stats)
+        yield from iter_unit_documents(unit, skipped)
 
 
 def merge_table_files(inputs: Iterable[Path | str], out: Path | str) -> CountMeta:

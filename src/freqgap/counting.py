@@ -29,6 +29,7 @@ import json
 import logging
 from collections import defaultdict
 from dataclasses import asdict, dataclass, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -104,6 +105,12 @@ class CounterConfig:
         return replace(self, target_sets=frozenset(term_set(t) for t in targets))
 
     def digest(self) -> str:
+        return self._digest
+
+    @cached_property
+    def _digest(self) -> str:
+        # Cached, and pickled with the config, so a count worker hashes
+        # nothing: a sha256 in a forked worker maps ~0.7 MB more pages.
         targets = None
         if self.target_sets is not None:
             targets = sorted(key_str(t) for t in self.target_sets)
@@ -331,24 +338,24 @@ def top_numbers(
 
 
 class _ShardAccumulator:
-    """Streaming counter for one shard, with optional spill-to-disk."""
+    """Streaming counter for one shard, with optional spill-to-disk; the
+    reader adds the shard's skipped records to its meta."""
 
-    def __init__(self, config: CounterConfig) -> None:
+    def __init__(self, config: CounterConfig, corpus: str = "") -> None:
         self.config = config
         self.scanner = TermScanner(config)
         self.uni: dict[int, int] = defaultdict(int)
         self.pairs: dict[tuple[int, int], int] = defaultdict(int)
         self.triples: dict[tuple[int, ...], int] = defaultdict(int)
-        self.documents = 0
-        self.tokens = 0
+        self.meta = CountMeta(corpus=corpus, config_digest=config.digest())
 
     def add_document(self, text: str) -> None:
         # Codes in `terms` are shifted by +1 (see _SurfaceCache); all
         # comparisons against UNIT_BASE / NN_PAIR_MAX shift accordingly
         # and keys are unshifted only when actually emitted.
         terms, total = self.scanner.scan_shifted(text)
-        self.documents += 1
-        self.tokens += total
+        self.meta.documents += 1
+        self.meta.tokens += total
         if not terms:
             return
         maxdist = self.config.window - 1
@@ -425,16 +432,10 @@ def count_shard(
     documents: Iterable[str], config: CounterConfig, corpus: str = ""
 ) -> CountTable:
     """Count one shard of documents in memory."""
-    acc = _ShardAccumulator(config)
+    acc = _ShardAccumulator(config, corpus)
     for text in documents:
         acc.add_document(text)
-    meta = CountMeta(
-        corpus=corpus,
-        config_digest=config.digest(),
-        documents=acc.documents,
-        tokens=acc.tokens,
-    )
-    return CountTable(acc.entries(), meta)
+    return CountTable(acc.entries(), acc.meta)
 
 
 def _iter_count_lines(path: Path) -> Iterator[tuple[str, int]]:

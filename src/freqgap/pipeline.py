@@ -68,8 +68,8 @@ class RunConfig:
     corpus_path: Path
     out: Path
     corpus_format: str = "jsonl"
-    window: int = 5
-    max_number_digits: int = 6
+    window: int = CounterConfig.window
+    max_number_digits: int = CounterConfig.max_number_digits
     tasks: tuple[str, ...] = ALL_TASKS
     ks: tuple[int, ...] = STANDARD_KS
     seeds: int = 5

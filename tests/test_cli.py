@@ -210,6 +210,8 @@ def _stage_argv(workspace, command: str, out: str) -> list[str]:
         ("count", "--workers", "-1"),
         ("analyze", "--bins", "1"),
         ("analyze", "--bins", "0"),
+        ("analyze", "--ks", "2,2"),
+        ("analyze", "--ks", "-1"),
     ],
 )
 def test_a_stage_flag_is_checked_like_its_config_field(

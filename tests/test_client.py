@@ -30,6 +30,7 @@ from freqgap.client import (
     score,
     sigmoid,
 )
+from freqgap.pipeline import run_eval
 from freqgap.tasks import build_fewshot_prompts, load_bundles, make_instance, save_bundles
 from freqgap.terms import term_set, unit_term
 from freqgap.util import sha256_text, sorted_json
@@ -431,6 +432,40 @@ def test_records_are_journaled_as_they_complete(stub, tmp_path):
     assert not thread.is_alive()
     assert len(results[0]) == len(bundles) == lines()
     assert state.requests == len(bundles)
+
+
+def test_records_file_is_in_canonical_order_when_replies_come_out_of_order(stub, tmp_path):
+    # the reply of the bundle whose record sorts first is held back, so it
+    # completes last; records.jsonl is written in evaluate's order
+    state, url = stub
+    bundles = _bundles(12)
+    first = min(bundles, key=lambda b: b.test_instance.instance_id)
+    release = state.hold[first.rendered] = threading.Event()
+    records_path = tmp_path / "records.jsonl"
+    journal = tmp_path / "journal.jsonl"
+    lines = lambda: journal.read_bytes().count(b"\n") if journal.exists() else 0
+    endpoint = _endpoint(url, max_in_flight=2, timeout=60.0)
+    results = []
+    thread = threading.Thread(
+        target=lambda: results.append(
+            run_eval(bundles, records_path, {"scorer": "stub"}, endpoint=endpoint)
+        )
+    )
+    thread.start()
+    try:
+        deadline = time.monotonic() + 10.0
+        while lines() < len(bundles) - 1 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert lines() == len(bundles) - 1
+    finally:
+        release.set()
+        thread.join(timeout=60.0)
+    assert not thread.is_alive()
+    written = records_path.read_text().splitlines(keepends=True)
+    keys = [(r["task_id"], r["k"], r["seed"], r["instance_id"]) for r in map(json.loads, written)]
+    assert keys == sorted(keys) and len(keys) == len(bundles)
+    assert keys[0][3] == first.test_instance.instance_id
+    assert written == [_record_line(r) for r in results[0]]
 
 
 def test_completion_order_independence(stub):
