@@ -9,12 +9,12 @@ so it depends only on the frequency ORDER.  Decile and bin means are
 exact rationals built from those counts, so partition identities and
 decile means are exact.
 
-build_report makes one pass over the records and counts (correct, n)
-per (task, k, seed, grouping key, term set); pooled groups are sums over
-seeds.  Each (task, k, key) is ordered by frequency once, and that order
-serves the gap, the bins and the per-seed gaps.  aggregate,
-performance_gap, bin_accuracy and trend_fit expose the same arithmetic
-on AccuracyPoints.
+build_report makes one pass over a RecordTally of the records and
+counts (correct, n) per (task, k, seed, grouping key, term set); pooled
+groups are sums over seeds.  Each (task, k, key) is ordered by
+frequency once, and that order serves the gap, the bins and the
+per-seed gaps.  aggregate, performance_gap, bin_accuracy and trend_fit
+expose the same arithmetic on AccuracyPoints.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .client import EvalRecord
+from .client import EvalRecord, RecordTally
 from .counting import CountTable
 from .tasks import GROUPING_KEYS, TaskInstance, default_keys, grouping_applies, resolve_grouping
 from .util import atomic_open, canonical_json
@@ -80,10 +80,10 @@ def _by_frequency(rows: Iterable[tuple]) -> list[tuple]:
     return sorted(rows, key=itemgetter(0, 1))
 
 
-def _instance(instances_by_id: Mapping[str, TaskInstance], rec: EvalRecord) -> TaskInstance:
-    inst = instances_by_id.get(rec.instance_id)
+def _instance(instances_by_id: Mapping[str, TaskInstance], instance_id: str) -> TaskInstance:
+    inst = instances_by_id.get(instance_id)
     if inst is None:
-        raise AnalysisError(f"record references unknown instance {rec.instance_id}")
+        raise AnalysisError(f"record references unknown instance {instance_id}")
     return inst
 
 
@@ -97,7 +97,7 @@ def aggregate(
     correct: Counter = Counter()
     total: Counter = Counter()
     for rec in records:
-        group = resolve_grouping(_instance(instances_by_id, rec), key)
+        group = resolve_grouping(_instance(instances_by_id, rec.instance_id), key)
         total[group] += 1
         correct[group] += rec.correct
     return [
@@ -121,9 +121,15 @@ def _gap(ordered: Sequence[tuple]) -> float:
     if n < 10:
         raise AnalysisError(f"performance gap needs at least 10 groups, got {n}")
     m = -(-n // 10)
-    bottom = sum(Fraction(c, cn) for _f, _g, c, cn in ordered[:m]) / m
-    top = sum(Fraction(c, cn) for _f, _g, c, cn in ordered[-m:]) / m
-    return float(top - bottom)
+    return float((_acc_sum(ordered[-m:]) - _acc_sum(ordered[:m])) / m)
+
+
+def _acc_sum(rows: Iterable[tuple]) -> Fraction:
+    """The exact sum of the rows' accuracies, one Fraction per distinct n."""
+    correct_by_n: dict = defaultdict(int)
+    for _f, _g, c, n in rows:
+        correct_by_n[n] += c
+    return sum(Fraction(c, n) for n, c in correct_by_n.items())
 
 
 @dataclass(frozen=True)
@@ -198,7 +204,7 @@ class GapReport:
 
 
 def build_report(
-    records: Sequence[EvalRecord],
+    tally: RecordTally,
     instances_by_id: Mapping[str, TaskInstance],
     counts: CountTable,
     tasks: Sequence[str],
@@ -219,19 +225,20 @@ def build_report(
     term_sets: dict[str, tuple] = {}  # instance id -> its term set under each key
     # (task, k) -> seed -> (term sets of every record, of the correct records)
     cells: dict = defaultdict(lambda: defaultdict(lambda: ([], [])))
-    for rec in records:
-        if rec.task_id not in keys_of or rec.k not in wanted_ks:
+    for (task_id, k, seed), (instance_ids, oks, _errored) in tally.items():
+        if task_id not in keys_of or k not in wanted_ks:
             continue
-        sets = term_sets.get(rec.instance_id)
-        if sets is None:
-            sets = term_sets[rec.instance_id] = tuple(
-                resolve_grouping(_instance(instances_by_id, rec), key)
-                for key in keys_of[rec.task_id]
-            )
-        every, correct = cells[rec.task_id, rec.k][rec.seed]
-        every.append(sets)
-        if rec.correct:
-            correct.append(sets)
+        every, correct = cells[task_id, k][seed]
+        for instance_id, ok in zip(instance_ids, oks):
+            sets = term_sets.get(instance_id)
+            if sets is None:
+                sets = term_sets[instance_id] = tuple(
+                    resolve_grouping(_instance(instances_by_id, instance_id), key)
+                    for key in keys_of[task_id]
+                )
+            every.append(sets)
+            if ok:
+                correct.append(sets)
 
     reports = []
     for task_id in tasks:

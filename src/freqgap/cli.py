@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import __version__
 from .analysis import compare_runs
-from .client import EndpointConfig, MockPolicy, load_records
+from .client import EndpointConfig, MockPolicy, load_tally
 from .corpus import CORPUS_FORMATS, count_corpus, merge_table_files
 from .counting import CounterConfig, CountTable
 from .demo import generate_demo_corpus
@@ -210,32 +210,32 @@ def _cmd_eval(args) -> int:
     records_path = args.out / "records.jsonl"
     bundles = [b for path in paths for b in load_bundles(path)]
     counts = CountTable.load(args.counts) if reads_counts else None  # others ignore counts
-    records = run_eval(
-        bundles, records_path, inputs, mock, endpoint, counts, resume=not args.no_resume
-    )
-    log.info("%d records -> %s", len(records), records_path)
+    run_eval(bundles, records_path, inputs, mock, endpoint, counts, resume=not args.no_resume)
+    log.info("%d records -> %s", len(bundles), records_path)  # one per bundle
     return 0
 
 
 def _cmd_analyze(args) -> int:
     _check_flag("--bins", "bins", args.bins)
-    records = load_records(args.records)
-    if not records:
-        raise UsageError(f"no records under {args.records}")
     keys = args.keys.split(",") if args.keys else None
     if keys is not None:
         bad = [key for key in keys if key not in GROUPING_KEYS]
         if bad:
             raise UsageError(f"unknown grouping keys: {bad}")
+        if len(set(keys)) < len(keys):
+            raise UsageError("--keys: must not repeat an entry")
     try:
         ks = [int(k) for k in args.ks.split(",")] if args.ks else None
     except ValueError as exc:
         raise UsageError(f"--ks: {exc}") from exc
     if ks is not None:
         _check_flag("--ks", "ks", ks)
+    tally = load_tally(args.records)
+    if not tally:
+        raise UsageError(f"no records under {args.records}")
     datasets = [load_dataset(p) for p in _jsonl_files(args.datasets, "dataset")]
     counts = CountTable.load(args.counts)
-    run_analyze(records, datasets, counts, args.out, args.label, ks=ks, keys=keys, bins=args.bins)
+    run_analyze(tally, datasets, counts, args.out, args.label, ks=ks, keys=keys, bins=args.bins)
     return 0
 
 

@@ -4,8 +4,9 @@ Requests go to a standard completion API (JSON POST with model, prompt,
 max_tokens, temperature, stop) under a bounded in-flight cap with
 exponential-backoff retries.  Each record is journaled as soon as it
 completes, in completion order, so interrupted runs resume by instance
-identity, and the final record set is emitted in one canonical order
-regardless of completion order.
+identity, and each call's records come back in one canonical order
+regardless of completion order.  Analysis reads a RecordTally, which
+keeps of each record only what the report needs.
 """
 
 from __future__ import annotations
@@ -23,11 +24,11 @@ from concurrent.futures import ThreadPoolExecutor, as_completed
 from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 from urllib.parse import urlsplit
 
 from .counting import CountTable
-from .tasks import PromptBundle, TaskInstance, default_keys, render_prompt, resolve_grouping
+from .tasks import PromptBundle, default_keys, render_prompt, resolve_grouping
 from .util import atomic_open, unit_uniform
 
 log = logging.getLogger(__name__)
@@ -311,16 +312,18 @@ def evaluate(
     journal: Path | str | None = None,
     resume: bool = False,
     sleep: Callable[[float], None] = time.sleep,
+    journaled: Mapping[tuple[str, int, int], EvalRecord] | None = None,
 ) -> list[EvalRecord]:
     """Score every bundle against the endpoint or a mock policy.
 
-    Records come back sorted by (task_id, k, seed, instance_id).  With a
-    journal path, each record is appended as it completes; resume=True
-    skips bundles already present in the journal, and resume=False
-    starts the journal afresh.  If the endpoint is unreachable,
-    EndpointUnreachable propagates with every record completed before it
-    journaled; the at most max_in_flight - 1 requests still in flight
-    are dropped and scored again on resume.
+    One record per bundle comes back, sorted by (task_id, k, seed,
+    instance_id).  With a journal path, each record is appended as it
+    completes; resume=True takes the records of bundles already in the
+    journal (read here, or `journaled` by a caller that scores one journal
+    in several calls) and resume=False starts the journal afresh.  If the
+    endpoint is unreachable, EndpointUnreachable propagates with every
+    record completed before it journaled; the at most max_in_flight - 1
+    requests still in flight are dropped and scored again on resume.
     """
     if (endpoint is None) == (mock is None):
         raise ValueError("exactly one of endpoint or mock must be given")
@@ -328,20 +331,16 @@ def evaluate(
         raise ValueError("freq_logistic mock needs a count table")
     completer = _HttpCompleter(endpoint, sleep=sleep) if endpoint is not None else None
 
-    records: list[EvalRecord] = []
-    pending = bundles
     journal_path = Path(journal) if journal is not None else None
-    if journal_path is not None and resume and journal_path.exists():
-        done = {(r.instance_id, r.k, r.seed): r for r in _read_journal(journal_path)}
-        records = list(done.values())
-        pending = [b for b in bundles if (b.test_instance.instance_id, b.k, b.seed) not in done]
+    if journaled is None:
+        journaled = read_journal(journal_path) if resume else {}
+    done = [journaled.get((b.test_instance.instance_id, b.k, b.seed)) for b in bundles]
+    records = [record for record in done if record is not None]
+    pending = [bundle for bundle, record in zip(bundles, done) if record is None]
 
-    # Work done once per shot set and once per instance: the sha256 state
-    # over a shot block, which each of its prompts' digests continues, and
-    # the mock's count of an instance.  Counts are kept for one task at a
-    # time (bundles come grouped by task), which bounds the cache.
+    # Work done once per shot set: the sha256 state over a shot block,
+    # which each of its prompts' digests continues.
     shot_hashes: dict[str, Any] = {}
-    freqs: dict[TaskInstance, int] = {}
 
     def score_bundle(bundle: PromptBundle) -> EvalRecord:
         inst = bundle.test_instance
@@ -354,11 +353,7 @@ def evaluate(
         prompt_hash = shot_hash.copy()
         prompt_hash.update(question.encode("utf-8"))
         if mock is not None:
-            freq = freqs.get(inst) if mock.reads_counts else 0
-            if freq is None:
-                if freqs and next(iter(freqs)).task_id != inst.task_id:
-                    freqs.clear()
-                freq = freqs[inst] = counts.query(primary_term_set(bundle))
+            freq = counts.query(primary_term_set(bundle)) if mock.reads_counts else 0
             raw, error, latency = mock_generate(bundle, freq, mock), None, 0.0
         else:
             start = time.perf_counter()
@@ -402,11 +397,14 @@ def evaluate(
     return records
 
 
-def _read_journal(path: Path) -> list[EvalRecord]:
-    """Journaled records.  A last line without its newline is a write cut
-    short by a kill: it is truncated away, so its bundle is scored again
-    and later appends start on a fresh line.  A bad complete line raises."""
-    records = []
+def read_journal(path: Path | None) -> dict[tuple[str, int, int], EvalRecord]:
+    """Journaled records by (instance_id, k, seed); none without a journal.
+    A last line without its newline is a write cut short by a kill: it is
+    truncated away, so its bundle is scored again and later appends start
+    on a fresh line.  A bad complete line raises."""
+    records = {}
+    if path is None or not path.exists():
+        return records
     good = 0
     with open(path, "rb") as f:
         for line in f:
@@ -414,23 +412,59 @@ def _read_journal(path: Path) -> list[EvalRecord]:
                 log.warning("%s: dropping a partial last line", path)
                 os.truncate(path, good)
                 break
-            records.append(EvalRecord(**json.loads(line)))
+            record = EvalRecord(**json.loads(line))
+            records[record.instance_id, record.k, record.seed] = record
             good += len(line)
     return records
 
 
-def save_records(records: Sequence[EvalRecord], path: Path | str) -> None:
-    """Write records in the order given: evaluate's canonical order."""
+def save_records(records: Iterable[EvalRecord], path: Path | str) -> None:
+    """Write records in the order given, as they are iterated, and commit
+    the file once the last is written.  No record is held here after its
+    line is written."""
     with atomic_open(path) as f:
-        for rec in records:
-            f.write(_record_line(rec))
+        f.writelines(map(_record_line, records))
+
+
+def _records_file(path: Path | str) -> Path:
+    """A records file, or the records.jsonl in a directory; an endpoint
+    eval's journal.jsonl beside it is never read."""
+    path = Path(path)
+    return path / "records.jsonl" if path.is_dir() else path
 
 
 def load_records(path: Path | str) -> list[EvalRecord]:
-    """Records of a records file, or of the records.jsonl in a directory;
-    an endpoint eval's journal.jsonl beside it is never read."""
-    path = Path(path)
-    if path.is_dir():
-        path = path / "records.jsonl"
-    with open(path, encoding="utf-8") as f:
+    """Records of a records file, or of the records.jsonl in a directory."""
+    with open(_records_file(path), encoding="utf-8") as f:
         return [EvalRecord(**json.loads(line)) for line in f]
+
+
+class RecordTally(dict):
+    """What analysis reads of records: (task_id, k, seed) -> (instance
+    ids, correct flags, errored flags), each in record order.  The flags
+    are bytearrays, so a record costs a pointer and two bytes."""
+
+    def add(self, records: Sequence[EvalRecord]) -> Sequence[EvalRecord]:
+        """Tally the records, and return them to be written."""
+        for r in records:
+            self.note((r.task_id, r.k, r.seed), r.instance_id, r.correct, r.error is not None)
+        return records
+
+    def note(self, key: tuple[str, int, int], instance_id: str, ok: bool, errored: bool) -> None:
+        ids, oks, errors = self.get(key) or self.setdefault(key, ([], bytearray(), bytearray()))
+        ids.append(instance_id)
+        oks.append(ok)
+        errors.append(errored)
+
+
+def load_tally(path: Path | str) -> RecordTally:
+    """The tally of a records file, or of the records.jsonl in a
+    directory, read line by line."""
+    tally = RecordTally()
+    ids: dict[str, str] = {}  # one string per instance across its ks and seeds
+    with open(_records_file(path), encoding="utf-8") as f:
+        for r in map(json.loads, f):
+            instance_id = ids.setdefault(r["instance_id"], r["instance_id"])
+            errored = r["error"] is not None
+            tally.note((r["task_id"], r["k"], r["seed"]), instance_id, r["correct"], errored)
+    return tally

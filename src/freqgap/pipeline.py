@@ -5,8 +5,10 @@ are shared with the CLI.  The corpus is read once: the targeted table
 (stage count_pass2) is selected from the pass-1 table.
 
 A stage hands its result (a count table, the datasets, the bundles,
-the records) to the stages after it in memory; a consumer reads its
-producer's files only when the producer was skipped as up to date.
+the tally of the records) to the stages after it in memory; a consumer
+reads its producer's files only when the producer was skipped as up to
+date.  Eval scores and writes one prompt file's records at a time, so
+a run never holds all of its records.
 
 Every stage writes its artifacts atomically and records their content
 digests plus the digests of its inputs; a stage is skipped on re-run
@@ -23,12 +25,12 @@ import os
 import time
 from dataclasses import MISSING, asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import __version__
 from .analysis import build_report, write_report
-from .client import EndpointConfig, EvalRecord, MockPolicy, evaluate
-from .client import load_records, save_records
+from .client import EndpointConfig, EvalRecord, MockPolicy, RecordTally, evaluate
+from .client import load_tally, read_journal, save_records
 from .corpus import CORPUS_FORMATS, corpus_units, count_corpus
 from .counting import CounterConfig, CountTable
 from .tasks import (
@@ -404,18 +406,20 @@ def run_eval(
     endpoint: EndpointConfig | None = None,
     counts: CountTable | None = None,
     resume: bool = True,
-) -> list[EvalRecord]:
-    """Score the bundles into records_path; counts are the freq_logistic
-    mock's table.
+) -> RecordTally:
+    """Score the bundles into records_path and return their tally;
+    counts are the freq_logistic mock's table.
 
-    An endpoint eval journals beside records_path until records_path is
-    written.  `inputs` fingerprints what the records depend on (prompt
-    files, count table, scorer) in journal.inputs.json: under the same
-    inputs an eval resumes from the journal, or else from records_path;
-    under other inputs both are discarded.  A mock is deterministic and
-    scoring it again is cheaper than writing every record twice, so it
-    keeps no journal, and it removes the fingerprint of the records it
-    replaces.
+    Bundles are scored one prompt file, one (task_id, k, seed), at a time
+    in that key's order, and each file's records are written before the
+    next file is scored.  An endpoint eval journals beside records_path
+    until records_path is written.  `inputs` fingerprints what the
+    records depend on (prompt files, count table, scorer) in
+    journal.inputs.json: under the same inputs an eval resumes from the
+    journal, or else from records_path; under other inputs both are
+    discarded.  A mock is deterministic and scoring it again is cheaper
+    than writing every record twice, so it keeps no journal, and it
+    removes the fingerprint of the records it replaces.
     """
     journal = records_path.with_name("journal.jsonl")
     fingerprint = records_path.with_name("journal.inputs.json")
@@ -430,17 +434,28 @@ def run_eval(
             records_path.unlink(missing_ok=True)
             with atomic_open(fingerprint) as f:
                 f.write(current)
-    records = evaluate(
-        bundles, endpoint=endpoint, mock=mock, counts=counts, resume=resume,
-        journal=journal if endpoint is not None else None,
-    )
-    save_records(records, records_path)
+    if not resume:
+        journal.unlink(missing_ok=True)
+    journaled = read_journal(journal)  # once for every file
+    files: dict[tuple[str, int, int], list[PromptBundle]] = {}
+    for bundle in bundles:
+        files.setdefault((bundle.test_instance.task_id, bundle.k, bundle.seed), []).append(bundle)
+    tally = RecordTally()
+
+    def scored() -> Iterator[EvalRecord]:  # binds no record, so a file's records die with it
+        for key in sorted(files):
+            yield from tally.add(evaluate(
+                files.pop(key), endpoint=endpoint, mock=mock, counts=counts, resume=True,
+                journal=journal if endpoint is not None else None, journaled=journaled,
+            ))
+
+    save_records(scored(), records_path)
     journal.unlink(missing_ok=True)
-    return records
+    return tally
 
 
 def run_analyze(
-    records: Sequence[EvalRecord],
+    tally: RecordTally,
     datasets: Datasets,
     counts: CountTable,
     out_dir: Path,
@@ -450,18 +465,18 @@ def run_analyze(
     keys: Sequence[str] | None = None,
     bins: int = 10,
 ) -> None:
-    """Write the gap report of records joined with their dataset instances.
+    """Write the gap report of a tally joined with its dataset instances.
 
     tasks default to those present in the datasets (in ALL_TASKS order),
-    ks to those present in the records.
+    ks to those present in the tally.
     """
     instances = {inst.instance_id: inst for dataset in datasets for inst in dataset}
     if tasks is None:
         present = {inst.task_id for inst in instances.values()}
         tasks = [t for t in ALL_TASKS if t in present]
     if ks is None:
-        ks = sorted({r.k for r in records})
-    reports = build_report(records, instances, counts, tasks, ks, keys, bins)
+        ks = sorted({k for _task, k, _seed in tally})
+    reports = build_report(tally, instances, counts, tasks, ks, keys, bins)
     write_report(reports, out_dir, label=label)
 
 
@@ -553,7 +568,7 @@ def run_pipeline(config: RunConfig, force: bool = False) -> RunManifest:
         **runner.artifact_digests("count_pass2"),
         "scorer": scorer_digest(config.mock, config.endpoint),
     }
-    records = runner.stage(
+    tally = runner.stage(
         "eval",
         eval_inputs,
         [records_path],
@@ -561,7 +576,7 @@ def run_pipeline(config: RunConfig, force: bool = False) -> RunManifest:
             bundles(), records_path, eval_inputs, config.mock, config.endpoint,
             table2() if config.mock is not None and config.mock.reads_counts else None,
         ),
-        load=lambda: load_records(records_path),
+        load=lambda: load_tally(records_path),
     )
     bundles = None  # analyze's peak memory does not hold them
 
@@ -571,7 +586,7 @@ def run_pipeline(config: RunConfig, force: bool = False) -> RunManifest:
         {**runner.artifact_digests("eval"), **runner.artifact_digests("count_pass2")},
         [report_dir / "report.csv", report_dir / "report.json"],
         lambda: run_analyze(
-            records(), datasets(), table2(), report_dir, config.label(), config.tasks,
+            tally(), datasets(), table2(), report_dir, config.label(), config.tasks,
             config.ks, bins=config.bins,
         ),
     )

@@ -139,6 +139,7 @@ class StubState:
         self.wrong = False  # answer gold + 1
         self.delay = 0.0
         self.hold = {}  # prompt -> threading.Event its replies wait for
+        self.unreachable = lambda prompt: False  # True: drop the connection unanswered
         self.drop_after_response = False  # close without "Connection: close"
         self.authorization = []  # the Authorization header of each request
         self.connections = 0
@@ -184,6 +185,9 @@ class StubHandler(BaseHTTPRequestHandler):
             # known length may send its next request at once
             with state.lock:
                 state.in_flight -= 1
+        if status is None:
+            self.close_connection = True
+            return
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
@@ -192,11 +196,13 @@ class StubHandler(BaseHTTPRequestHandler):
         if state.drop_after_response:
             self.close_connection = True
 
-    def _reply(self) -> tuple[int, bytes]:
+    def _reply(self) -> tuple[int | None, bytes]:
         state = self.state
         length = int(self.headers["Content-Length"])
         body = json.loads(self.rfile.read(length))
         prompt = body["prompt"]
+        if state.unreachable(prompt):
+            return None, b""
         if state.delay:
             time.sleep(state.delay)
         if prompt in state.hold:

@@ -13,6 +13,9 @@ from freqgap.analysis import (
     AccuracyPoint,
     AnalysisError,
     GapReport,
+    _by_frequency,
+    _gap,
+    _point_rows,
     aggregate,
     bin_accuracy,
     build_report,
@@ -24,7 +27,7 @@ from freqgap.analysis import (
     trend_fit,
     write_report,
 )
-from freqgap.client import EvalRecord
+from freqgap.client import EvalRecord, RecordTally
 from freqgap.counting import CounterConfig, CountTable
 from freqgap.tasks import DatasetError, make_instance
 from freqgap.terms import term_set, unit_term
@@ -137,6 +140,26 @@ def test_gap_matches_enumeration_oracle(pairs):
     if len(points) < 10:
         return
     assert performance_gap(points) == _gap_oracle(points)
+
+
+# (correct, n) of a group with n in 1..6, so that deciles repeat denominators
+group_counts = st.integers(1, 6).flatmap(lambda n: st.tuples(st.integers(0, n), st.just(n)))
+
+
+@given(st.lists(group_counts, min_size=10, max_size=80))
+@settings(max_examples=100)
+def test_gap_sums_per_denominator_as_the_plain_fraction_sum(counts):
+    m = -(-len(counts) // 10)
+
+    def reference(rows):  # one Fraction per row
+        mean = lambda part: sum(Fraction(c, n) for _f, _g, c, n in part) / m
+        return float(mean(rows[-m:]) - mean(rows[:m]))
+
+    rows = [(i, (i,), c, n) for i, (c, n) in enumerate(counts)]  # integer rows, in order
+    points = [AccuracyPoint((i,), i, n, Fraction(c, n)) for i, (c, n) in enumerate(counts)]
+    point_rows = _by_frequency(_point_rows(points))  # correct = acc * n, a Fraction
+    assert _gap(rows) == reference(rows)
+    assert _gap(point_rows) == reference(point_rows) == _gap(rows)
 
 
 # --- binning ---------------------------------------------------------------
@@ -275,6 +298,12 @@ def _record(inst, seed=0, k=2, correct=True):
     )
 
 
+def _tally(records):
+    tally = RecordTally()
+    tally.add(records)
+    return tally
+
+
 def _counts_table(entries):
     return CountTable(
         {term_set(k): v for k, v in entries.items()},
@@ -364,7 +393,7 @@ def _full_run(correct=True):
 
 def test_build_report_perfect():
     records, instances, counts = _full_run(correct=True)
-    (report,) = build_report(records, instances, counts, ["mult"], [2])
+    (report,) = build_report(_tally(records), instances, counts, ["mult"], [2])
     assert report.overall_acc == 1
     assert report.gaps == {"x1": 0.0, "x1x2": 0.0, "x1y": 0.0}
     assert report.seeds == (0, 1)
@@ -373,7 +402,7 @@ def test_build_report_perfect():
 
 def test_build_report_missing_cell_flagged():
     records, instances, counts = _full_run()
-    reports = build_report(records, instances, counts, ["mult"], [2, 4])
+    reports = build_report(_tally(records), instances, counts, ["mult"], [2, 4])
     assert reports[0].complete
     assert not reports[1].complete
     assert reports[1].overall_acc is None
@@ -381,7 +410,7 @@ def test_build_report_missing_cell_flagged():
 
 def test_write_report_layout(tmp_path):
     records, instances, counts = _full_run()
-    reports = build_report(records, instances, counts, ["mult"], [2])
+    reports = build_report(_tally(records), instances, counts, ["mult"], [2])
     write_report(reports, tmp_path, label="unit-test")
 
     with open(tmp_path / "report.csv") as f:
@@ -413,7 +442,7 @@ def test_percentages_one_decimal(tmp_path):
     for i, r in enumerate(records):
         if i % 3 == 0:
             r.correct = False
-    reports = build_report(records, instances, counts, ["mult"], [2])
+    reports = build_report(_tally(records), instances, counts, ["mult"], [2])
     write_report(reports, tmp_path)
     row = (tmp_path / "report.csv").read_text().splitlines()[1]
     assert row.split(",")[2] == "66.7"
@@ -423,7 +452,7 @@ def test_compare_runs(tmp_path):
     records, instances, counts = _full_run()
     for i, label in enumerate(["model-a", "model-b"]):
         run_dir = tmp_path / f"run{i}"
-        reports = build_report(records, instances, counts, ["mult"], [2])
+        reports = build_report(_tally(records), instances, counts, ["mult"], [2])
         write_report(reports, run_dir, label=label)
     compare_runs([tmp_path / "run0", tmp_path / "run1"], tmp_path / "cmp")
     comparison = (tmp_path / "cmp" / "comparison.csv").read_text().splitlines()
@@ -436,7 +465,7 @@ def test_compare_runs(tmp_path):
 
 def test_per_seed_gap_diagnostic():
     records, instances, counts = _full_run()
-    (report,) = build_report(records, instances, counts, ["mult"], [2])
+    (report,) = build_report(_tally(records), instances, counts, ["mult"], [2])
     assert report.per_seed_gaps["x1"] == [0.0, 0.0]
 
 
@@ -536,7 +565,7 @@ def test_build_report_equals_reference_composition(draws, keys, num_bins, salt):
     draws = draws + [("mult", 0, 1, 2, 0, True), ("mult", 1, 1, 2, 1, False)]  # >= 2 seeds
     records, instances, counts = _one_pass_inputs(draws, salt)
     tasks, ks = ["mult", _CONVERSION], [0, 2]
-    assert build_report(records, instances, counts, tasks, ks, keys, num_bins) == (
+    assert build_report(_tally(records), instances, counts, tasks, ks, keys, num_bins) == (
         _reference_report(records, instances, counts, tasks, ks, keys, num_bins)
     )
 
@@ -555,7 +584,7 @@ def test_build_report_one_pass_edge_cells():
     )
     records, instances, counts = _one_pass_inputs(draws, salt=1)
     tasks, ks, keys = ["mult", _CONVERSION], [0, 2], ("x1", "x1x2x3")
-    reports = build_report(records, instances, counts, tasks, ks, keys)
+    reports = build_report(_tally(records), instances, counts, tasks, ks, keys)
     assert reports == _reference_report(records, instances, counts, tasks, ks, keys, 10)
     mult0, mult2, _, hour_min2 = reports
     assert len(mult0.per_seed_gaps["x1"]) == 3 and len(set(mult0.per_seed_gaps["x1"])) > 1

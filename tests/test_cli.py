@@ -212,6 +212,7 @@ def _stage_argv(workspace, command: str, out: str) -> list[str]:
         ("analyze", "--bins", "0"),
         ("analyze", "--ks", "2,2"),
         ("analyze", "--ks", "-1"),
+        ("analyze", "--keys", "x1,x1"),
     ],
 )
 def test_a_stage_flag_is_checked_like_its_config_field(

@@ -2,11 +2,20 @@ import dataclasses
 import json
 import os
 import shutil
+from types import SimpleNamespace
 
 import pytest
 
 from freqgap.analysis import build_report
-from freqgap.client import EndpointConfig, MockPolicy, load_records, save_records
+from freqgap.client import (
+    EndpointConfig,
+    EndpointUnreachable,
+    MockPolicy,
+    load_records,
+    load_tally,
+    read_journal,
+    save_records,
+)
 from freqgap.corpus import count_corpus
 from freqgap.counting import CONVERSION_TRIPLES, CountTable
 from freqgap.demo import generate_demo_corpus
@@ -344,6 +353,28 @@ def test_corpus_signature_tells_same_named_files_apart(tmp_path):
     assert _corpus_signature(config) != before
 
 
+def test_eval_holds_one_prompt_file_of_records_at_a_time(small_corpus, tmp_path, monkeypatch):
+    import freqgap.client as client_mod
+
+    live = [0, 0]  # records alive now, most alive at once
+
+    class CountedRecord(client_mod.EvalRecord):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            live[0] += 1
+            live[1] = max(live)
+
+        def __del__(self):
+            live[0] -= 1
+
+    monkeypatch.setattr(client_mod, "EvalRecord", CountedRecord)
+    out = tmp_path / "run"
+    run_pipeline(_run_config(small_corpus, out, mock="freq_logistic:1,-3,6"))
+    files = [load_bundles(path) for path in (out / "prompts").glob("*.jsonl")]
+    assert len(files) == 11 * 2 * 2
+    assert 0 < live[1] <= max(map(len, files))
+
+
 # --- one corpus pass -----------------------------------------------------------
 
 
@@ -375,13 +406,13 @@ def test_pipeline_counts_once_and_selects_pass2(small_corpus, tmp_path, monkeypa
     triples = [k for k in pass1.entries if len(k) == 3]
     assert triples and set(triples) <= CONVERSION_TRIPLES
     # pass 2 keeps every term set the report reads
-    records = load_records(out / "records" / "records.jsonl")
+    tally = load_tally(out / "records" / "records.jsonl")
     instances = {
         inst.instance_id: inst
         for task_id in config.tasks
         for inst in load_dataset(out / "datasets" / f"{task_id}.jsonl")
     }
-    report = lambda table: build_report(records, instances, table, config.tasks, config.ks)
+    report = lambda table: build_report(tally, instances, table, config.tasks, config.ks)
     assert report(CountTable.load(pass2)) == report(pass1)
 
 
@@ -410,11 +441,11 @@ def test_analyze_uses_eval_records_and_reads_the_file_only_when_eval_is_skipped(
 
     loads = []
 
-    def counting_load_records(path):
+    def counting_load_tally(path):
         loads.append(path)
-        return load_records(path)
+        return load_tally(path)
 
-    monkeypatch.setattr(pipeline_mod, "load_records", counting_load_records)
+    monkeypatch.setattr(pipeline_mod, "load_tally", counting_load_tally)
     out = tmp_path / "run"
     config = _run_config(small_corpus, out, mock="freq_logistic:1,-3,6", ks=(0, 2), seeds=2)
     run_pipeline(config)
@@ -643,3 +674,49 @@ def test_an_endpoint_eval_under_other_inputs_never_resumes_their_records(
     records = load_records(other.out / "records" / "records.jsonl")
     assert records and not any(r.correct for r in records)
     assert state.requests == 2 * requests
+
+
+def test_an_endpoint_eval_cut_between_two_prompt_files_resumes_to_the_clean_run(
+    small_corpus, tmp_path, stub, monkeypatch
+):
+    import freqgap.client as client_mod
+    import freqgap.pipeline as pipeline_mod
+
+    state, url = stub
+    # latencies are pinned, so that two runs' records files compare byte for byte
+    monkeypatch.setattr(client_mod, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+    clean = _endpoint_run_config(small_corpus, tmp_path / "clean", url)
+    run_pipeline(clean)
+    first_file, second_file = (
+        load_bundles(clean.out / "prompts" / f"hour_min_k{k}_seed0.jsonl") for k in (0, 2)
+    )
+    assert state.requests == len(first_file) + len(second_file)
+
+    # the second file's prompts (k=2) find the endpoint gone
+    config = dataclasses.replace(clean, out=tmp_path / "cut")
+    state.unreachable = lambda prompt: prompt.count("Q:") > 1
+    with pytest.raises(EndpointUnreachable):
+        run_pipeline(config)
+    journal = config.out / "records" / "journal.jsonl"
+    assert sorted(r.instance_id for r in load_records(journal)) == sorted(
+        b.test_instance.instance_id for b in first_file
+    )
+    assert not (config.out / "records" / "records.jsonl").exists()
+
+    state.unreachable = lambda prompt: False
+    requests = state.requests
+    reads = []
+
+    def counting_read_journal(path):
+        reads.append(path)
+        return read_journal(path)
+
+    monkeypatch.setattr(pipeline_mod, "read_journal", counting_read_journal)
+    monkeypatch.setattr(client_mod, "read_journal", counting_read_journal)
+    run_pipeline(config)
+    assert reads == [journal]  # once per eval, not once per prompt file
+    assert state.requests - requests == len(second_file)
+    assert (config.out / "records" / "records.jsonl").read_bytes() == (
+        clean.out / "records" / "records.jsonl"
+    ).read_bytes()
+    assert not journal.exists()
