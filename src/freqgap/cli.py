@@ -3,13 +3,15 @@
 Each stage subcommand checks its arguments and then runs the same stage
 body as `freqgap run` (see freqgap.pipeline).
 
-Exit codes: 0 success, 1 usage or config error, 2 stage failure.
+Exit codes: 0 success, 1 usage or config error, 2 stage failure, 143
+when `count` or `run` is ended by SIGTERM.
 """
 
 from __future__ import annotations
 
 import argparse
 import logging
+import signal
 import sys
 from pathlib import Path
 
@@ -40,6 +42,15 @@ log = logging.getLogger(__name__)
 
 class UsageError(Exception):
     pass
+
+
+class _Terminated(BaseException):
+    """Raised by SIGTERM during `count` and `run`, so that they unwind as on
+    Ctrl-C: count workers are ended and spill files removed."""
+
+
+def _raise_terminated(signum, frame):
+    raise _Terminated
 
 
 def _check_flag(flag: str, key: str, value) -> None:
@@ -282,6 +293,9 @@ def main(argv: list[str] | None = None) -> int:
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
     )
+    handler = None
+    if args.command in ("count", "run"):
+        handler = signal.signal(signal.SIGTERM, _raise_terminated)
     try:
         return _COMMANDS[args.command](args)
     except (UsageError, ConfigError) as exc:
@@ -290,6 +304,12 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # stage failure: report, don't traceback
         print(f"freqgap: {exc.__class__.__name__}: {exc}", file=sys.stderr)
         return 2
+    except _Terminated:
+        print("freqgap: terminated", file=sys.stderr)
+        return 128 + signal.SIGTERM
+    finally:
+        if handler is not None:
+            signal.signal(signal.SIGTERM, handler)
 
 
 def entrypoint() -> None:

@@ -27,7 +27,10 @@ import logging
 import math
 import multiprocessing
 import os
+import signal
 import tempfile
+import threading
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import count, repeat
@@ -154,16 +157,26 @@ def _count_units(
             acc.spill(path)
             spills.append(str(path))
 
-        for unit in units:
-            for text in iter_unit_documents(unit, acc.meta):
-                acc.add_document(text)
-                if acc.size >= spill_threshold:
-                    spill()
+        documents = (text for unit in units for text in iter_unit_documents(unit, acc.meta))
+        acc.add_documents(documents, spill_threshold, spill)
         spill()
         return spills, acc.meta
     finally:
         if gc_was_enabled:
             gc.enable()
+
+
+def _init_worker(parent: int) -> None:
+    """Count pool initializer: a worker takes SIGTERM's default action, and
+    exits once its parent is gone, busy or idle."""
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(0.5)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
 
 
 def count_corpus(
@@ -191,8 +204,18 @@ def count_corpus(
             # of waiting forever for its task.
             nproc = min(workers or os.cpu_count() or 1, len(partitions))
             fork = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(nproc, mp_context=fork) as pool:
-                results = list(pool.map(_count_units, *args))
+            with ProcessPoolExecutor(
+                nproc, mp_context=fork, initializer=_init_worker, initargs=(os.getpid(),)
+            ) as pool:
+                try:
+                    results = list(pool.map(_count_units, *args))
+                except BaseException:
+                    # Interrupted (Ctrl-C, or SIGTERM under the CLI) or a
+                    # worker lost: end the other workers now, not after
+                    # their partitions.
+                    for child in multiprocessing.active_children():
+                        child.terminate()
+                    raise
         spills = [Path(p) for paths, _ in results for p in paths]
         meta = combine_metas([named] + [shard_meta for _, shard_meta in results])
         merge_sorted_count_files(spills, out, meta)

@@ -17,6 +17,19 @@ unigrams and exactly the targets; a target outside those families is
 rejected when the config is made.  CountTable.select makes the same
 selection from a counted table.
 
+Every document is counted by one compiled kernel, _count.c, called
+through ctypes in batches of about _BATCH_BYTES: it scans the terms,
+runs the window loop and counts into a table keyed by packed 64-bit
+ints, exactly as TermScanner and _ShardAccumulator.add_document do in
+Python for any Unicode text.  The library is built with cc when this
+module is imported and __pycache__ holds none for the source's hash and
+the machine type; otherwise the import reads the source and does one
+stat, and ctypes loads the library at the first count.  Building here,
+not in the first count, keeps the compiler's time and memory out of the
+count workers.  The Python scan and window loop are the reference the
+tests compare the kernel with, and the path every document takes where
+no library can be built.
+
 A table file is a `key<TAB>count` TSV sorted by key string plus a
 `.meta.json` sidecar.  write_table is its one writer, combine_metas the
 one combination of provenance, merge_sorted_count_files the one merge.
@@ -24,14 +37,20 @@ one combination of provenance, merge_sorted_count_files the one merge.
 
 from __future__ import annotations
 
+import hashlib
 import heapq
 import json
 import logging
+import math
+import os
+import tempfile
+from array import array
 from collections import defaultdict
 from dataclasses import asdict, dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .terms import CONVERSION_MAX_DIGITS, CONVERSION_TASKS, UNIT_BASE, UNITS, key_str
 from .terms import parse_key, term_set, unit_term
@@ -178,7 +197,8 @@ class _SurfaceCache(dict):
 
 
 class TermScanner:
-    """Single-pass extraction of (token position, term code) from a document.
+    """Single-pass extraction of (token position, term code) from a document:
+    the Python reference of the kernel's scan.
 
     Equivalent to running extract_term over the whitespace-split tokens
     (the test suite asserts this); classification is memoized per
@@ -208,6 +228,112 @@ class TermScanner:
         return terms, len(tokens)
 
 
+_KERNEL_SOURCE = Path(__file__).with_name("_count.c")
+
+# Documents go to the kernel in batches of about this many bytes.
+_BATCH_BYTES = 1 << 18
+_INT64_MAX = 2**63 - 1
+
+
+def _build_kernel(source: Path, path: Path) -> None:
+    """Compile `source` into the shared library `path` through a temp file
+    beside it, so that concurrent builds each leave one whole file."""
+    import subprocess
+
+    path.parent.mkdir(exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    os.close(fd)
+    try:
+        subprocess.run(
+            ["cc", "-O2", "-shared", "-fPIC", "-o", tmp, str(source)],
+            check=True, capture_output=True, timeout=120,
+        )
+        os.replace(tmp, path)
+    except subprocess.SubprocessError as exc:
+        raise OSError(f"cc failed: {exc}") from exc
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def _kernel_path(source: Path = _KERNEL_SOURCE) -> Path | None:
+    """The library compiled from `source`, in the __pycache__ beside it
+    under a name keyed by the source's hash and the machine type; built
+    when missing.  None where no library can be built."""
+    try:
+        tag = hashlib.sha256(source.read_bytes()).hexdigest()[:16]
+        path = source.parent / "__pycache__" / f"{source.stem}-{tag}-{os.uname().machine}.so"
+        if not path.exists():
+            _build_kernel(source, path)
+    except OSError as exc:
+        log.debug("no counting kernel, counting in Python: %s", exc)
+        return None
+    return path
+
+
+_KERNEL_PATH = _kernel_path()
+
+
+@lru_cache(maxsize=None)
+def _kernel():
+    """The kernel library, loaded with ctypes and given the term rules;
+    None where there is none."""
+    if _KERNEL_PATH is None:
+        return None
+    import ctypes
+
+    try:
+        lib = ctypes.CDLL(str(_KERNEL_PATH))
+    except OSError as exc:
+        log.debug("counting kernel does not load, counting in Python: %s", exc)
+        return None
+    i64, ptr = ctypes.c_int64, ctypes.c_void_p
+    for name, restype, argtypes in (
+        ("fg_setup", ctypes.c_int, [ctypes.c_char_p, i64, ctypes.c_char_p, ptr, ptr,
+                                    i64, i64, i64, i64, ptr, i64]),
+        ("fg_unicode_tables", i64, [ptr, ptr, ptr]),
+        ("fg_new", ptr, [i64, i64]),
+        ("fg_free", None, [ptr]),
+        ("fg_clear", ctypes.c_int, [ptr]),
+        ("fg_size", i64, [ptr]),
+        ("fg_dump", i64, [ptr, ptr]),
+        ("fg_count", i64, [ptr, ctypes.c_char_p, i64, i64, i64, ptr]),
+    ):
+        fn = getattr(lib, name)
+        fn.restype, fn.argtypes = restype, argtypes
+    forms = [form.encode("ascii") for form in _FORM_CODES]
+    width = max(map(len, forms))
+    lens = array("q", map(len, forms))
+    codes = array("q", _FORM_CODES.values())
+    triples = array("q", chain.from_iterable(sorted(CONVERSION_TRIPLES)))
+    status = lib.fg_setup(
+        STRIP_CHARS.encode("ascii"), len(STRIP_CHARS),
+        b"".join(form.ljust(width, b"\0") for form in forms),
+        lens.buffer_info()[0], codes.buffer_info()[0], len(forms), width,
+        UNIT_BASE, NN_PAIR_MAX, triples.buffer_info()[0], len(CONVERSION_TRIPLES),
+    )
+    if status != 0:
+        raise ValueError("the term rules do not fit the counting kernel")
+    return lib
+
+
+def _batches(texts: Iterable[str]) -> Iterator[bytes]:
+    """The documents' UTF-8 encodings, lone surrogates passed through,
+    joined by 0xFF (a byte no such encoding holds), about _BATCH_BYTES
+    at a time."""
+    batch: list[bytes] = []
+    size = 0
+    for text in texts:
+        data = text.encode("utf-8", "surrogatepass")
+        batch.append(data)
+        size += len(data)
+        if size >= _BATCH_BYTES:
+            yield b"\xff".join(batch)
+            batch, size = [], 0
+    if batch:
+        yield b"\xff".join(batch)
+
+
 @dataclass
 class CountMeta:
     corpus: str
@@ -233,7 +359,7 @@ class CountTable:
         return self.entries.get(term_set(key), 0)
 
     def save(self, path: Path | str) -> "CountTable":
-        write_table(path, _sorted_lines(self.entries), self.meta)
+        write_table(path, _sorted_lines(self.entries.items()), self.meta)
         return self
 
     def select(self, targeted: CounterConfig) -> "CountTable":
@@ -241,7 +367,7 @@ class CountTable:
         This table must be counted under `targeted` without targets."""
         if self.meta.config_digest != replace(targeted, target_sets=None).digest():
             raise ConfigDigestMismatch("table was counted under another configuration")
-        entries = _select(self.entries, targeted.target_sets)
+        entries = dict(_select(self.entries.items(), targeted.target_sets))
         return CountTable(entries, replace(self.meta, config_digest=targeted.digest()))
 
     @classmethod
@@ -265,13 +391,13 @@ def read_meta(table_path: Path | str) -> CountMeta:
     return CountMeta(**json.loads(_meta_path(Path(table_path)).read_text()))
 
 
-def _select(entries: dict[tuple[int, ...], int], targets: frozenset) -> dict[tuple[int, ...], int]:
-    """The unigrams and the target term sets among a table's entries."""
-    return {key: n for key, n in entries.items() if len(key) == 1 or key in targets}
+def _select(items: Iterable[tuple[tuple[int, ...], int]], targets: frozenset) -> Iterator:
+    """The unigrams and the target term sets among (key, count) items."""
+    return ((key, n) for key, n in items if len(key) == 1 or key in targets)
 
 
-def _sorted_lines(entries: dict[tuple[int, ...], int]) -> list[tuple[str, int]]:
-    return sorted((key_str(k), v) for k, v in entries.items())
+def _sorted_lines(items: Iterable[tuple[tuple[int, ...], int]]) -> list[tuple[str, int]]:
+    return sorted((key_str(k), v) for k, v in items)
 
 
 def write_table(
@@ -339,17 +465,63 @@ def top_numbers(
 
 class _ShardAccumulator:
     """Streaming counter for one shard, with optional spill-to-disk; the
-    reader adds the shard's skipped records to its meta."""
+    reader adds the shard's skipped records to its meta.
+
+    add_documents counts every document with the compiled kernel where it
+    loads, and with add_document, the Python reference, where it does not.
+    """
 
     def __init__(self, config: CounterConfig, corpus: str = "") -> None:
         self.config = config
+        self.meta = CountMeta(corpus=corpus, config_digest=config.digest())
+        self._lib = _kernel()
+        if self._lib is not None:
+            self._counter = self._lib.fg_new(config.window, config.max_number_digits)
+            if not self._counter:
+                raise MemoryError("counting kernel out of memory")
         self.scanner = TermScanner(config)
         self.uni: dict[int, int] = defaultdict(int)
         self.pairs: dict[tuple[int, int], int] = defaultdict(int)
         self.triples: dict[tuple[int, ...], int] = defaultdict(int)
-        self.meta = CountMeta(corpus=corpus, config_digest=config.digest())
+
+    def __del__(self) -> None:
+        if getattr(self, "_counter", None):
+            self._lib.fg_free(self._counter)
+
+    def add_documents(
+        self,
+        texts: Iterable[str],
+        spill_threshold: float = math.inf,
+        spill: Callable[[], None] | None = None,
+    ) -> None:
+        """Count `texts`; after each document that leaves the table with at
+        least spill_threshold keys, call spill."""
+        if self._lib is None:
+            for text in texts:
+                self.add_document(text)
+                if self.size >= spill_threshold:
+                    spill()
+            return
+        limit = min(spill_threshold, _INT64_MAX)
+        totals = array("q", [0, 0])  # documents, tokens
+        for batch in _batches(texts):
+            start = 0
+            while True:
+                end = self._lib.fg_count(
+                    self._counter, batch, start, len(batch), limit, totals.buffer_info()[0]
+                )
+                if end < 0:
+                    raise MemoryError("counting kernel out of memory")
+                if self.size >= spill_threshold:
+                    spill()
+                if end == len(batch):
+                    break
+                start = end + 1
+        self.meta.documents += totals[0]
+        self.meta.tokens += totals[1]
 
     def add_document(self, text: str) -> None:
+        """Count one document in Python: the reference path."""
         # Codes in `terms` are shifted by +1 (see _SurfaceCache); all
         # comparisons against UNIT_BASE / NN_PAIR_MAX shift accordingly
         # and keys are unshifted only when actually emitted.
@@ -409,20 +581,38 @@ class _ShardAccumulator:
 
     @property
     def size(self) -> int:
+        if self._lib is not None:
+            return self._lib.fg_size(self._counter)
         return len(self.uni) + len(self.pairs) + len(self.triples)
 
-    def entries(self) -> dict[tuple[int, ...], int]:
-        # unigram keys are stored shifted; unshift on the way out
-        out: dict[tuple[int, ...], int] = {(c - 1,): n for c, n in self.uni.items()}
-        out.update(self.pairs)
-        out.update(self.triples)
+    def _items(self) -> Iterator[tuple[tuple[int, ...], int]]:
+        """The accumulated (key, count)s, of the targets if there are any."""
+        if self._lib is not None:
+            rows = array("q", [0]) * (4 * self.size)
+            self._lib.fg_dump(self._counter, rows.buffer_info()[0])
+            it = iter(rows)  # (t0, t1, t2, count), -1 for absent terms
+            items = (
+                ((a,) if b < 0 else (a, b) if c < 0 else (a, b, c), n)
+                for a, b, c, n in zip(it, it, it, it)
+            )
+        else:
+            # unigram keys are stored shifted; unshift on the way out
+            items = chain(
+                (((c - 1,), n) for c, n in self.uni.items()),
+                self.pairs.items(),
+                self.triples.items(),
+            )
         targets = self.config.target_sets
-        return out if targets is None else _select(out, targets)
+        return items if targets is None else _select(items, targets)
+
+    def entries(self) -> dict[tuple[int, ...], int]:
+        return dict(self._items())
 
     def spill(self, path: Path) -> None:
         """Write the accumulated counts as a sorted partial table and reset."""
-        lines = _sorted_lines(self.entries())
-        write_table(path, lines)
+        write_table(path, _sorted_lines(self._items()))
+        if self._lib is not None and self._lib.fg_clear(self._counter) != 0:
+            raise MemoryError("counting kernel out of memory")
         self.uni.clear()
         self.pairs.clear()
         self.triples.clear()
@@ -433,8 +623,7 @@ def count_shard(
 ) -> CountTable:
     """Count one shard of documents in memory."""
     acc = _ShardAccumulator(config, corpus)
-    for text in documents:
-        acc.add_document(text)
+    acc.add_documents(documents)
     return CountTable(acc.entries(), acc.meta)
 
 

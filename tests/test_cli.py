@@ -1,8 +1,15 @@
 import dataclasses
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import freqgap
 from freqgap.cli import main
 from freqgap.client import load_records
 from freqgap.counting import CountTable
@@ -272,3 +279,86 @@ def test_unknown_grouping_key_exits_1(workspace, tmp_path, flag):
         "--counts", str(workspace / "counts2"),
         *flag, "--out", str(tmp_path / "r"),
     ]) == 1
+
+
+# --- signals during a count -------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def throughput_corpus(tmp_path_factory):
+    from freqgap.demo import generate_throughput_corpus
+
+    path = tmp_path_factory.mktemp("throughput") / "corpus.jsonl"
+    yield generate_throughput_corpus(path, size_bytes=150_000_000, seed=1)
+    path.unlink()
+
+
+def _live(pid):
+    """Whether `pid` runs; an exited child left unreaped is not running."""
+    try:
+        state = Path(f"/proc/{pid}/stat").read_text().rpartition(")")[2].split()[0]
+    except OSError:
+        return False
+    return state not in ("Z", "X")
+
+
+def _count_with_workers(corpus, tmp_path):
+    """Start `freqgap count --shards 2 --workers 2` and return it with its
+    worker pids once both workers are counting."""
+    temp = tmp_path / "tmp"
+    temp.mkdir()
+    src = str(Path(freqgap.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "TMPDIR": str(temp)}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "freqgap.cli", "count", "--corpus", str(corpus), "--format",
+         "jsonl", "--out", str(tmp_path / "out"), "--shards", "2", "--workers", "2"],
+        env=env, stderr=subprocess.PIPE, start_new_session=True,
+    )
+    children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
+    workers = set()
+    deadline = time.monotonic() + 30
+    while len(workers) < 2 or not list(temp.glob("freqgap-spill-*")):
+        if time.monotonic() > deadline or proc.poll() is not None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            pytest.fail("the count did not start two workers")
+        try:
+            workers |= set(map(int, children.read_text().split()))
+        except OSError:
+            pass
+        time.sleep(0.01)
+    time.sleep(0.2)  # both workers are inside their partitions
+    return proc, workers, temp
+
+
+def _wait_gone(pids, seconds):
+    deadline = time.monotonic() + seconds
+    while any(map(_live, pids)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    return [pid for pid in pids if _live(pid)]
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").exists(), reason="needs /proc")
+def test_sigterm_ends_a_count_like_ctrl_c(throughput_corpus, tmp_path):
+    proc, workers, temp = _count_with_workers(throughput_corpus, tmp_path)
+    proc.send_signal(signal.SIGTERM)
+    try:
+        _, stderr = proc.communicate(timeout=30)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+        pytest.fail("count did not end on SIGTERM")
+    assert proc.returncode == 143, stderr.decode()
+    assert list(temp.glob("freqgap-spill-*")) == []
+    assert _wait_gone(workers, 5) == []
+    assert not (tmp_path / "out" / "counts.tsv").exists()
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").exists(), reason="needs /proc")
+def test_count_workers_exit_when_their_parent_is_killed(throughput_corpus, tmp_path):
+    proc, workers, _ = _count_with_workers(throughput_corpus, tmp_path)
+    proc.kill()
+    proc.wait()
+    left = _wait_gone(workers, 10)
+    for pid in left:
+        os.kill(pid, signal.SIGKILL)
+    assert left == []
