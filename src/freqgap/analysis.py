@@ -9,12 +9,14 @@ so it depends only on the frequency ORDER.  Decile and bin means are
 exact rationals built from those counts, so partition identities and
 decile means are exact.
 
-build_report makes one pass over a RecordTally of the records and
-counts (correct, n) per (task, k, seed, grouping key, term set); pooled
-groups are sums over seeds.  Each (task, k, key) is ordered by
-frequency once, and that order serves the gap, the bins and the
-per-seed gaps.  aggregate, performance_gap, bin_accuracy and trend_fit
-expose the same arithmetic on AccuracyPoints.
+build_report reads a RecordTally of the records.  Each (task, grouping
+key)'s groups are built once: numbered in term-set order, with their
+frequencies and frequency order, for all of the task's ks and seeds.
+Each (task, k, key) cell then counts (correct, n) per group number, and
+the shared order, cut down to the cell's groups, serves the gap, the
+bins and the per-seed gaps; pooled groups are sums over seeds.
+aggregate, performance_gap, bin_accuracy and trend_fit expose the same
+arithmetic on AccuracyPoints.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import statistics
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, compress
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -166,18 +168,24 @@ def trend_fit(points: Sequence[AccuracyPoint]) -> tuple[float, float]:
     return _trend(_point_rows(points))
 
 
-def _trend(rows: Sequence[tuple]) -> tuple[float, float]:
+def _trend(rows: Sequence[tuple], log_freqs: Sequence[float] | None = None) -> tuple:
+    """The fit over rows in term-set order; log_freqs[g] is log10(freq+1)
+    of the row of group number g, where rows name their group by number."""
     if len({freq for freq, _g, _c, _n in rows}) < 2:
         raise AnalysisError("trend fit needs at least two distinct frequencies")
+    if log_freqs is None:
+        xs = [math.log10(freq + 1) for freq, _g, _c, _n in rows]
+    else:
+        xs = [log_freqs[g] for _f, g, _c, _n in rows]
     sw = swx = swy = swxx = swxy = 0.0
-    for freq, _group, c, w in rows:
-        x = math.log10(freq + 1)
+    for (_freq, _group, c, w), x in zip(rows, xs):
         y = float(c / w)
+        wx = w * x  # w * x * x is (w * x) * x: the same floats
         sw += w
-        swx += w * x
+        swx += wx
         swy += w * y
-        swxx += w * x * x
-        swxy += w * x * y
+        swxx += wx * x
+        swxy += wx * y
     denom = sw * swxx - swx * swx
     slope = (sw * swxy - swx * swy) / denom
     intercept = (swy - slope * swx) / sw
@@ -222,66 +230,95 @@ def build_report(
     keys_of = {
         t: [key for key in keys or default_keys(t) if grouping_applies(t, key)] for t in tasks
     }
-    term_sets: dict[str, tuple] = {}  # instance id -> its term set under each key
-    # (task, k) -> seed -> (term sets of every record, of the correct records)
-    cells: dict = defaultdict(lambda: defaultdict(lambda: ([], [])))
+    # task -> k -> seed -> (instance ids, correct flags)
+    cells: dict = defaultdict(lambda: defaultdict(dict))
     for (task_id, k, seed), (instance_ids, oks, _errored) in tally.items():
-        if task_id not in keys_of or k not in wanted_ks:
-            continue
-        every, correct = cells[task_id, k][seed]
-        for instance_id, ok in zip(instance_ids, oks):
-            sets = term_sets.get(instance_id)
-            if sets is None:
-                sets = term_sets[instance_id] = tuple(
-                    resolve_grouping(_instance(instances_by_id, instance_id), key)
-                    for key in keys_of[task_id]
-                )
-            every.append(sets)
-            if ok:
-                correct.append(sets)
+        if task_id in keys_of and k in wanted_ks:
+            cells[task_id][k][seed] = (instance_ids, oks)
 
     reports = []
     for task_id in tasks:
+        by_k = cells.get(task_id, {})
+        instance_ids = list(dict.fromkeys(chain.from_iterable(
+            ids for by_seed in by_k.values() for ids, _oks in by_seed.values()
+        )))
+        instances = [_instance(instances_by_id, i) for i in instance_ids]
+        groupings = [_Grouping(key, instance_ids, instances, counts) for key in keys_of[task_id]]
         for k in ks:
-            by_seed = cells.get((task_id, k))
+            by_seed = by_k.get(k)
             if by_seed is None:
                 reports.append(GapReport(task_id, k, seeds=(), n_records=0, overall_acc=None))
                 continue
             seeds = tuple(sorted(by_seed))
             lists = [by_seed[seed] for seed in seeds]
-            n_records = sum(len(every) for every, _ in lists)
-            hits = sum(len(correct) for _, correct in lists)
+            n_records = sum(len(ids) for ids, _oks in lists)
+            hits = sum(oks.count(1) for _ids, oks in lists)
             report = GapReport(task_id, k, seeds, n_records, Fraction(hits, n_records))
-            for i, key in enumerate(keys_of[task_id]):
-                rows = _rows(*_tally(i, lists), counts)
-                ordered = _by_frequency(rows)
+            for key, grouping in zip(keys_of[task_id], groupings):
+                rows = grouping.rows(*grouping.tally(lists))
+                ordered = grouping.by_frequency(rows)
                 report.gaps[key] = _or_none(_gap, ordered)
                 report.bins[key] = _or_none(_bins, ordered, num_bins) or []
-                report.trends[key] = _or_none(_trend, rows)
+                report.trends[key] = _or_none(_trend, rows, grouping.log_freqs)
                 if len(seeds) == 1:  # the seed's groups are the pooled groups
                     gap = report.gaps[key]
                     report.per_seed_gaps[key] = None if gap is None else [gap]
                 else:
-                    per_seed = (_tally(i, [pair]) for pair in lists)
+                    per_seed = (grouping.tally([pair]) for pair in lists)
                     report.per_seed_gaps[key] = _or_none(_seed_gaps, ordered, per_seed)
             reports.append(report)
     return reports
 
 
-def _tally(i: int, lists: Iterable[tuple[list, list]]) -> tuple[Counter, Counter]:
-    """(correct, n) per term set under grouping key i, pooled over the lists."""
-    term_set_of = itemgetter(i)
-    every, correct = zip(*lists)
-    return (
-        Counter(map(term_set_of, chain.from_iterable(correct))),
-        Counter(map(term_set_of, chain.from_iterable(every))),
-    )
+class _Grouping:
+    """A task's groups under one grouping key, built once for all of its
+    (k, seed) cells: groups are numbered in term-set order, and each has
+    its frequency and log10(freq+1); `order` is the frequency order of
+    all of them.  Rows name their group by its number, so a cell's rows
+    sort as rows of term sets do."""
+
+    def __init__(
+        self,
+        key: str,
+        instance_ids: Sequence[str],
+        instances: Sequence[TaskInstance],
+        counts: CountTable,
+    ):
+        sets = [resolve_grouping(inst, key) for inst in instances]
+        canonical = sorted(set(sets))
+        number = {term_set: g for g, term_set in enumerate(canonical)}
+        self.group_of = dict(zip(instance_ids, map(number.__getitem__, sets)))
+        # Term sets from resolve_grouping are canonical, so the table is
+        # read without re-canonicalizing them.
+        freq = counts.entries.get
+        self.freqs = [freq(term_set, 0) for term_set in canonical]
+        self.log_freqs = [math.log10(f + 1) for f in self.freqs]
+        self.order = sorted(range(len(canonical)), key=self.freqs.__getitem__)
+
+    def tally(self, lists: Iterable[tuple[list, bytearray]]) -> tuple[Counter, Counter]:
+        """(correct, n) per group, pooled over (instance ids, correct flags) lists."""
+        correct: Counter = Counter()
+        total: Counter = Counter()
+        for instance_ids, oks in lists:
+            groups = list(map(self.group_of.__getitem__, instance_ids))
+            total.update(groups)
+            correct.update(compress(groups, oks))
+        return correct, total
+
+    def rows(self, correct: Counter, total: Counter) -> list[tuple]:
+        """The groups' rows in term-set order."""
+        freqs, hits = self.freqs, correct.get  # a Counter's [] of a missing key runs Python
+        return [(freqs[g], g, hits(g, 0), n) for g, n in sorted(total.items())]
+
+    def by_frequency(self, rows: Sequence[tuple]) -> list[tuple]:
+        row_of = {row[1]: row for row in rows}
+        return [row_of[g] for g in self.order if g in row_of]
 
 
 def _seed_gaps(ordered: Sequence[tuple], per_seed: Iterable[tuple[Counter, Counter]]) -> list:
     """Each seed's gap over its own groups, taken in the pooled frequency order."""
     return [
-        _gap([(freq, g, correct[g], n[g]) for freq, g, _c, _n in ordered if g in n])
+        _gap([(freq, g, correct.get(g, 0), n[g]) for freq, g, _c, _n in ordered if g in n])
         for correct, n in per_seed
     ]
 

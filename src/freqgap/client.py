@@ -23,13 +23,15 @@ import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from contextlib import ExitStack
 from dataclasses import dataclass
+from itertools import groupby
+from operator import attrgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
 from urllib.parse import urlsplit
 
 from .counting import CountTable
 from .tasks import PromptBundle, default_keys, render_prompt, resolve_grouping
-from .util import atomic_open, unit_uniform
+from .util import atomic_open, text_uniform, unit_uniform
 
 log = logging.getLogger(__name__)
 
@@ -168,6 +170,11 @@ def score(extracted: int | None, gold: int) -> bool:
     return extracted is not None and extracted == gold
 
 
+def _outcome(raw_output: str, gold: int) -> tuple[str, int | None, bool]:
+    extracted = extract_answer(raw_output)
+    return raw_output, extracted, score(extracted, gold)
+
+
 def sigmoid(z: float) -> float:
     if z >= 0:
         return 1.0 / (1.0 + math.exp(-z))
@@ -187,15 +194,92 @@ def primary_term_set(bundle: PromptBundle) -> tuple[int, ...]:
     return resolve_grouping(inst, default_keys(inst.task_id)[0])
 
 
+def _mock_answers(gold: int) -> tuple[str, str]:
+    """The two outputs a mock gives: the right answer and gold+1."""
+    return f" {gold}", f" {gold + 1}"
+
+
 def mock_generate(bundle: PromptBundle, freq: int, policy: MockPolicy) -> str:
-    gold = bundle.gold
+    right, wrong = _mock_answers(bundle.gold)
     if policy.kind == "perfect":
-        return f" {gold}"
+        return right
     if policy.kind == "always_wrong":
-        return f" {gold + 1}"
+        return wrong
     p = logistic_accuracy(policy, freq)
     u = unit_uniform(policy.seed, bundle.test_instance.instance_id, bundle.k, bundle.seed)
-    return f" {gold}" if u < p else f" {gold + 1}"
+    return right if u < p else wrong
+
+
+class EvalState:
+    """What scoring computes once and reuses across evaluate calls.
+
+    Per test instance: the bytes of its question and, for a mock, the
+    two outputs it can give with their extracted and scored answers, and
+    for freq_logistic the probability of the right one.  Per shot set:
+    the sha256 state over its block, which each of its prompts' digests
+    continues.  run_eval keeps one state for the prompt files of one
+    task; an evaluate call without one builds its own.
+    """
+
+    def __init__(self, mock: MockPolicy | None = None, counts: CountTable | None = None):
+        self.mock = mock
+        self.counts = counts
+        self._instances: dict[str, tuple] = {}
+        self._shot_hashes: dict[str, Any] = {}
+
+    def _instance(self, bundle: PromptBundle) -> tuple:
+        """(question bytes, p, then the outcome of a draw below p or of a
+        mock without draws, then the other outcome); an outcome is raw
+        output, extracted, correct.  An endpoint's entry is the question
+        bytes alone."""
+        inst = bundle.test_instance
+        entry: tuple = (render_prompt(inst, with_answer=False).encode("utf-8"),)
+        mock = self.mock
+        if mock is not None:
+            hit, miss = _mock_answers(inst.y)
+            p = None
+            if mock.kind == "freq_logistic":
+                p = logistic_accuracy(mock, self.counts.query(primary_term_set(bundle)))
+            elif mock.kind == "always_wrong":
+                hit, miss = miss, hit
+            entry += (p,) + _outcome(hit, inst.y) + _outcome(miss, inst.y)
+        self._instances[inst.instance_id] = entry
+        return entry
+
+    def _digest(self, shot_block: str, question: bytes) -> str:
+        shot_hash = self._shot_hashes.get(shot_block)
+        if shot_hash is None:
+            shot_hash = self._shot_hashes[shot_block] = hashlib.sha256(shot_block.encode("utf-8"))
+        prompt_hash = shot_hash.copy()
+        prompt_hash.update(question)
+        return prompt_hash.hexdigest()[:16]
+
+    def score_mock(self, bundle: PromptBundle) -> EvalRecord:
+        inst = bundle.test_instance
+        instance_id = inst.instance_id
+        entry = self._instances.get(instance_id) or self._instance(bundle)
+        k, seed = bundle.k, bundle.seed
+        p = entry[1]
+        # unit_uniform(mock.seed, instance_id, k, seed), its labels joined here
+        if p is not None and text_uniform(f"{self.mock.seed}|{instance_id}|{k}|{seed}") >= p:
+            raw, extracted, correct = entry[5:]
+        else:
+            raw, extracted, correct = entry[2:5]
+        digest = self._digest(bundle.shot_block, entry[0])
+        return EvalRecord(instance_id, inst.task_id, k, seed, digest, raw, extracted, correct, 0.0)
+
+    def score_endpoint(self, bundle: PromptBundle, completer: _HttpCompleter) -> EvalRecord:
+        inst = bundle.test_instance
+        question = (self._instances.get(inst.instance_id) or self._instance(bundle))[0]
+        start = time.perf_counter()
+        raw, error = completer.complete(bundle.shot_block + question.decode("utf-8"))
+        latency = time.perf_counter() - start
+        extracted = extract_answer(raw) if error is None else None
+        digest = self._digest(bundle.shot_block, question)
+        return EvalRecord(
+            inst.instance_id, inst.task_id, bundle.k, bundle.seed, digest, raw, extracted,
+            score(extracted, inst.y), latency, error,
+        )
 
 
 def apply_stop_sequences(text: str, stops: Sequence[str]) -> str:
@@ -313,6 +397,7 @@ def evaluate(
     resume: bool = False,
     sleep: Callable[[float], None] = time.sleep,
     journaled: Mapping[tuple[str, int, int], EvalRecord] | None = None,
+    state: EvalState | None = None,
 ) -> list[EvalRecord]:
     """Score every bundle against the endpoint or a mock policy.
 
@@ -324,54 +409,28 @@ def evaluate(
     endpoint is unreachable, EndpointUnreachable propagates with every
     record completed before it journaled; the at most max_in_flight - 1
     requests still in flight are dropped and scored again on resume.
+    A caller that scores several bundle lists of the same instances
+    passes one `state`, built with this mock and these counts.
     """
     if (endpoint is None) == (mock is None):
         raise ValueError("exactly one of endpoint or mock must be given")
     if mock is not None and mock.reads_counts and counts is None:
         raise ValueError("freq_logistic mock needs a count table")
+    if state is None:
+        state = EvalState(mock, counts)
+    elif state.mock != mock or state.counts is not counts:
+        raise ValueError("the eval state was built for another scorer")
     completer = _HttpCompleter(endpoint, sleep=sleep) if endpoint is not None else None
 
     journal_path = Path(journal) if journal is not None else None
     if journaled is None:
         journaled = read_journal(journal_path) if resume else {}
-    done = [journaled.get((b.test_instance.instance_id, b.k, b.seed)) for b in bundles]
-    records = [record for record in done if record is not None]
-    pending = [bundle for bundle, record in zip(bundles, done) if record is None]
-
-    # Work done once per shot set: the sha256 state over a shot block,
-    # which each of its prompts' digests continues.
-    shot_hashes: dict[str, Any] = {}
-
-    def score_bundle(bundle: PromptBundle) -> EvalRecord:
-        inst = bundle.test_instance
-        question = render_prompt(inst, with_answer=False)
-        shot_hash = shot_hashes.get(bundle.shot_block)
-        if shot_hash is None:
-            shot_hash = shot_hashes[bundle.shot_block] = hashlib.sha256(
-                bundle.shot_block.encode("utf-8")
-            )
-        prompt_hash = shot_hash.copy()
-        prompt_hash.update(question.encode("utf-8"))
-        if mock is not None:
-            freq = counts.query(primary_term_set(bundle)) if mock.reads_counts else 0
-            raw, error, latency = mock_generate(bundle, freq, mock), None, 0.0
-        else:
-            start = time.perf_counter()
-            raw, error = completer.complete(bundle.shot_block + question)
-            latency = time.perf_counter() - start
-        extracted = extract_answer(raw) if error is None else None
-        return EvalRecord(
-            instance_id=inst.instance_id,
-            task_id=inst.task_id,
-            k=bundle.k,
-            seed=bundle.seed,
-            prompt_digest=prompt_hash.hexdigest()[:16],
-            raw_output=raw,
-            extracted=extracted,
-            correct=score(extracted, inst.y),
-            latency=latency,
-            error=error,
-        )
+    records: list[EvalRecord] = []
+    pending = bundles
+    if journaled:
+        done = [journaled.get((b.test_instance.instance_id, b.k, b.seed)) for b in bundles]
+        records = [record for record in done if record is not None]
+        pending = [bundle for bundle, record in zip(bundles, done) if record is None]
 
     with ExitStack() as stack:
         journal_file = None
@@ -380,12 +439,12 @@ def evaluate(
             mode = "a" if resume else "w"
             journal_file = stack.enter_context(open(journal_path, mode, encoding="utf-8"))
         if mock is not None:
-            scored = map(score_bundle, pending)
+            scored = map(state.score_mock, pending)
         else:
             stack.callback(completer.close)
             pool = ThreadPoolExecutor(max_workers=endpoint.max_in_flight)
             stack.callback(pool.shutdown, cancel_futures=True)
-            futures = [pool.submit(score_bundle, b) for b in pending]
+            futures = [pool.submit(state.score_endpoint, b, completer) for b in pending]
             scored = (future.result() for future in as_completed(futures))
         for record in scored:
             records.append(record)
@@ -393,7 +452,10 @@ def evaluate(
                 journal_file.write(_record_line(record))
                 journal_file.flush()
 
-    records.sort(key=lambda r: (r.task_id, r.k, r.seed, r.instance_id))
+    # Two stable sorts: a call's records mostly share one (task_id, k,
+    # seed), and the second sort then runs over a presorted list.
+    records.sort(key=attrgetter("instance_id"))
+    records.sort(key=attrgetter("task_id", "k", "seed"))
     return records
 
 
@@ -445,16 +507,24 @@ class RecordTally(dict):
     are bytearrays, so a record costs a pointer and two bytes."""
 
     def add(self, records: Sequence[EvalRecord]) -> Sequence[EvalRecord]:
-        """Tally the records, and return them to be written."""
-        for r in records:
-            self.note((r.task_id, r.k, r.seed), r.instance_id, r.correct, r.error is not None)
+        """Tally the records, and return them to be written.  Each run of
+        records under one key is looked up once."""
+        for key, run in groupby(records, attrgetter("task_id", "k", "seed")):
+            run = list(run)
+            ids, oks, errors = self._lists(key)
+            ids.extend(r.instance_id for r in run)
+            oks.extend(r.correct for r in run)
+            errors.extend(r.error is not None for r in run)
         return records
 
     def note(self, key: tuple[str, int, int], instance_id: str, ok: bool, errored: bool) -> None:
-        ids, oks, errors = self.get(key) or self.setdefault(key, ([], bytearray(), bytearray()))
+        ids, oks, errors = self._lists(key)
         ids.append(instance_id)
         oks.append(ok)
         errors.append(errored)
+
+    def _lists(self, key: tuple[str, int, int]) -> tuple[list, bytearray, bytearray]:
+        return self.get(key) or self.setdefault(key, ([], bytearray(), bytearray()))
 
 
 def load_tally(path: Path | str) -> RecordTally:

@@ -42,6 +42,7 @@ from .counting import (
     CountMeta,
     _ShardAccumulator,
     combine_metas,
+    copy_count_file,
     merge_sorted_count_files,
     read_meta,
     table_file,
@@ -218,7 +219,10 @@ def count_corpus(
                     raise
         spills = [Path(p) for paths, _ in results for p in paths]
         meta = combine_metas([named] + [shard_meta for _, shard_meta in results])
-        merge_sorted_count_files(spills, out, meta)
+        if len(spills) == 1:  # one sorted spill holding each key once
+            copy_count_file(spills[0], out, meta)
+        else:
+            merge_sorted_count_files(spills, out, meta)
     log.info(
         "counted %s: %d documents, %d tokens, %d skipped -> %s",
         path, meta.documents, meta.tokens, meta.skipped_documents, out,

@@ -43,6 +43,7 @@ import json
 import logging
 import math
 import os
+import shutil
 import tempfile
 from array import array
 from collections import defaultdict
@@ -409,8 +410,12 @@ def write_table(
     with atomic_open(path) as f:
         f.writelines(f"{key}\t{count}\n" for key, count in lines)
     if meta is not None:
-        with atomic_open(_meta_path(path)) as f:
-            f.write(canonical_json(asdict(meta)))
+        _write_meta(path, meta)
+
+
+def _write_meta(table_path: Path, meta: CountMeta) -> None:
+    with atomic_open(_meta_path(table_path)) as f:
+        f.write(canonical_json(asdict(meta)))
 
 
 def combine_metas(metas: Sequence[CountMeta]) -> CountMeta:
@@ -652,3 +657,12 @@ def merge_sorted_count_files(inputs: list[Path], out: Path, meta: CountMeta) -> 
     """K-way streaming merge of sorted key/count files, summing equal keys,
     into the table `out` with meta as its sidecar."""
     write_table(out, _sum_sorted([_iter_count_lines(p) for p in inputs]), meta)
+
+
+def copy_count_file(source: Path, out: Path, meta: CountMeta) -> None:
+    """One sorted key/count file is already a table: copy its bytes into
+    the table `out`, committed atomically (the source may be on another
+    filesystem), with meta as its sidecar."""
+    with open(source, "rb") as src, atomic_open(out, "wb") as dst:
+        shutil.copyfileobj(src, dst)
+    _write_meta(out, meta)

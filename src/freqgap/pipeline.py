@@ -29,7 +29,7 @@ from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import __version__
 from .analysis import build_report, write_report
-from .client import EndpointConfig, EvalRecord, MockPolicy, RecordTally, evaluate
+from .client import EndpointConfig, EvalRecord, EvalState, MockPolicy, RecordTally, evaluate
 from .client import load_tally, read_journal, save_records
 from .corpus import CORPUS_FORMATS, corpus_units, count_corpus
 from .counting import CounterConfig, CountTable
@@ -412,14 +412,16 @@ def run_eval(
 
     Bundles are scored one prompt file, one (task_id, k, seed), at a time
     in that key's order, and each file's records are written before the
-    next file is scored.  An endpoint eval journals beside records_path
-    until records_path is written.  `inputs` fingerprints what the
-    records depend on (prompt files, count table, scorer) in
-    journal.inputs.json: under the same inputs an eval resumes from the
-    journal, or else from records_path; under other inputs both are
-    discarded.  A mock is deterministic and scoring it again is cheaper
-    than writing every record twice, so it keeps no journal, and it
-    removes the fingerprint of the records it replaces.
+    next file is scored.  The files of one task share one EvalState, so
+    each test instance is prepared once per task, not once per file.  An
+    endpoint eval journals beside records_path until records_path is
+    written.  `inputs` fingerprints what the records depend on (prompt
+    files, count table, scorer) in journal.inputs.json: under the same
+    inputs an eval resumes from the journal, or else from records_path;
+    under other inputs both are discarded.  A mock is deterministic and
+    scoring it again is cheaper than writing every record twice, so it
+    keeps no journal, and it removes the fingerprint of the records it
+    replaces.
     """
     journal = records_path.with_name("journal.jsonl")
     fingerprint = records_path.with_name("journal.inputs.json")
@@ -443,10 +445,14 @@ def run_eval(
     tally = RecordTally()
 
     def scored() -> Iterator[EvalRecord]:  # binds no record, so a file's records die with it
+        task_id = state = None
         for key in sorted(files):
+            if key[0] != task_id:  # the last task's state goes with it
+                task_id, state = key[0], EvalState(mock, counts)
             yield from tally.add(evaluate(
                 files.pop(key), endpoint=endpoint, mock=mock, counts=counts, resume=True,
                 journal=journal if endpoint is not None else None, journaled=journaled,
+                state=state,
             ))
 
     save_records(scored(), records_path)

@@ -65,6 +65,10 @@ def derive_seed(*parts: Any) -> int:
 
 def unit_uniform(*parts: Any) -> float:
     """Stable uniform draw in [0, 1) keyed by the given labels."""
-    text = "|".join(map(str, parts))
+    return text_uniform("|".join(map(str, parts)))
+
+
+def text_uniform(text: str) -> float:
+    """unit_uniform of labels already joined by '|'."""
     digest = hashlib.sha256(text.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") / 2**64

@@ -570,6 +570,34 @@ def test_build_report_equals_reference_composition(draws, keys, num_bins, salt):
     )
 
 
+def test_build_report_keeps_each_cell_to_its_own_groups_under_the_task_order():
+    seeds = range(5)
+    draws = (
+        # mult k=0 and k=2: 12 x1 groups in every seed, accuracy by seed
+        [
+            ("mult", x1, 1 + x1 % 2, k, s, (x1 * (s + 1) + k) % 3 == 0)
+            for k in (0, 2) for x1 in range(12) for s in seeds
+        ]
+        # groups only in mult's k=2 cell: x1=20 in seed 3 alone, x1=21 in every seed
+        + [("mult", 20, 1, 2, 3, True)]
+        + [("mult", 21, 3, 2, s, s % 2 == 0) for s in seeds]
+        # hour_min k=0: 10 groups in every seed and one in seed 4 alone
+        + [(_CONVERSION, x1, 1, 0, s, x1 % 2 == s % 2) for x1 in range(10) for s in seeds]
+        + [(_CONVERSION, 30, 1, 0, 4, True)]
+    )
+    records, instances, counts = _one_pass_inputs(draws, salt=2)
+    tasks, ks = ["mult", _CONVERSION], [0, 2, 4]  # k=4 has no records
+    reports = build_report(_tally(records), instances, counts, tasks, ks)
+    assert reports == _reference_report(records, instances, counts, tasks, ks, None, 10)
+    mult0, mult2, mult4, hour_min0, hour_min2, _ = reports
+    assert mult0.seeds == mult2.seeds == tuple(seeds) == hour_min0.seeds
+    assert not mult4.complete and not hour_min2.complete
+    for report in (mult0, mult2, hour_min0):  # every record in one bin, no empty group
+        for bins in report.bins.values():
+            assert sum(b.n for b in bins) == report.n_records
+    assert len(mult0.per_seed_gaps["x1"]) == 5 and len(hour_min0.per_seed_gaps["x1x2"]) == 5
+
+
 def test_build_report_one_pass_edge_cells():
     draws = (
         # mult k=0: three seeds with 15 groups each and seed-dependent accuracy

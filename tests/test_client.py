@@ -17,6 +17,7 @@ from freqgap.client import (
     EndpointConfig,
     EndpointUnreachable,
     EvalRecord,
+    EvalState,
     MockPolicy,
     _record_line,
     apply_stop_sequences,
@@ -31,6 +32,8 @@ from freqgap.client import (
     score,
     sigmoid,
 )
+from freqgap.cli import main
+from freqgap.counting import CounterConfig, CountTable
 from freqgap.pipeline import run_eval
 from freqgap.tasks import build_fewshot_prompts, load_bundles, make_instance, save_bundles
 from freqgap.terms import term_set, unit_term
@@ -200,6 +203,88 @@ def test_a_mock_eval_returns_the_same_records_with_and_without_a_journal(tmp_pat
     evaluate(bundles[:5], mock=policy, journal=journal)  # resume=False starts afresh
     assert evaluate(bundles[::-1], mock=policy, journal=journal, resume=True) == plain
     assert len(journal.read_text().splitlines()) == len(plain)
+
+
+_STATE_MOCKS = {
+    "perfect": MockPolicy("perfect"),
+    "always_wrong": MockPolicy("always_wrong"),
+    "freq_logistic:1,-3,4": MockPolicy("freq_logistic", a=1.0, b=-3.0, seed=4),
+}
+
+
+def _two_task_bundles():
+    """Bundles of mult and hour_min at k 0 and 2 and prompt seeds 0 and 1,
+    the two tasks' bundles alternating in input order."""
+    datasets = [
+        [make_instance("mult", (x1, 7)) for x1 in range(2, 16)],
+        [make_instance("hour_min", (x1, unit_term("hour"))) for x1 in range(2, 16)],
+    ]
+    per_task = [
+        [b for k in (0, 2) for seed in (0, 1) for b in build_fewshot_prompts(d, k, seed=seed)]
+        for d in datasets
+    ]
+    return [b for pair in zip(*per_task) for b in pair]
+
+
+def _spread_counts(bundles):
+    """Primary term-set frequencies from 1 to 10**6, so that freq_logistic
+    gives right and wrong answers."""
+    entries = {
+        primary_term_set(b): 10 ** (b.test_instance.x[0] % 7) for b in bundles
+    }
+    return CountTable(entries, CountTable.empty(CounterConfig()).meta)
+
+
+def _reference_record(bundle, mock, counts):
+    """One bundle scored on its own: mock_generate, extract_answer and the
+    sha256 of the rendered prompt."""
+    inst = bundle.test_instance
+    raw = mock_generate(bundle, counts.query(primary_term_set(bundle)), mock)
+    extracted = extract_answer(raw)
+    digest = sha256_text(bundle.rendered)[:16]
+    return EvalRecord(
+        inst.instance_id, inst.task_id, bundle.k, bundle.seed, digest, raw, extracted,
+        score(extracted, bundle.gold), 0.0,
+    )
+
+
+@pytest.mark.parametrize("spec", _STATE_MOCKS)
+def test_scoring_with_a_per_task_state_equals_scoring_each_bundle_alone(spec, tmp_path):
+    mock = _STATE_MOCKS[spec]
+    bundles = _two_task_bundles()
+    counts = _spread_counts(bundles)
+    assert [b.test_instance.task_id for b in bundles[:4]] == ["mult", "hour_min"] * 2
+    expected = _sorted_like_records(_reference_record(b, mock, counts) for b in bundles)
+    assert len(expected) == 2 * (14 + 14 + 12 + 12)  # two tasks, k 0 and 2, two seeds
+    if mock.reads_counts:
+        assert {r.correct for r in expected} == {True, False}
+
+    table = counts if mock.reads_counts else None
+    run_eval(bundles, tmp_path / "run" / "records.jsonl", {}, mock, counts=table)
+    assert load_records(tmp_path / "run") == expected
+    assert evaluate(bundles, mock=mock, counts=table) == expected
+
+    # freqgap eval on one file of all the bundles
+    save_bundles(bundles, tmp_path / "bundles.jsonl")
+    counts.save(tmp_path / "counts.tsv")
+    argv = ["eval", "--bundles", str(tmp_path / "bundles.jsonl"), "--mock", spec]
+    argv += ["--counts", str(tmp_path / "counts.tsv"), "--out", str(tmp_path / "cli")]
+    assert main(argv) == 0
+    assert load_records(tmp_path / "cli") == expected
+
+
+def _sorted_like_records(records):
+    return sorted(records, key=lambda r: (r.task_id, r.k, r.seed, r.instance_id))
+
+
+def test_a_state_built_for_another_scorer_is_refused():
+    bundles = _bundles(3)
+    state = EvalState(MockPolicy("perfect"))
+    with pytest.raises(ValueError):
+        evaluate(bundles, mock=MockPolicy("always_wrong"), state=state)
+    assert evaluate(bundles, mock=MockPolicy("perfect"), state=state) == evaluate(
+        bundles, mock=MockPolicy("perfect")
+    )
 
 
 def test_per_record_objects_have_no_instance_dict():

@@ -488,6 +488,33 @@ def test_count_corpus_spill_threshold(tmp_path):
     assert small.read_bytes() == big.read_bytes()
 
 
+def test_a_one_spill_count_copies_its_spill_and_more_spills_merge(tmp_path, monkeypatch):
+    rng = random.Random(8)
+    docs = random_corpus(rng, 120, max_tokens=30)
+    root = _write_corpus(tmp_path, docs)
+
+    def table(name, **kwargs):
+        out = tmp_path / name / "counts.tsv"
+        count_corpus(root, "jsonl", CFG, out, **kwargs)
+        return out.read_bytes(), out.with_suffix(".meta.json").read_bytes()
+
+    merged = table("two", shards=2)
+    merges = []
+    real_merge = corpus_mod.merge_sorted_count_files
+
+    def merge(inputs, out, meta):
+        merges.append(len(inputs))
+        real_merge(inputs, out, meta)
+
+    monkeypatch.setattr(corpus_mod, "merge_sorted_count_files", merge)
+    assert table("one", shards=1) == merged
+    assert merges == []  # the one spill was copied, not merged
+    # A tiny threshold spills several times in the one partition: they merge.
+    assert table("spilled", shards=1, spill_threshold=10) == merged
+    assert len(merges) == 1 and merges[0] > 1
+    assert not list((tmp_path / "one").glob("*.tmp"))
+
+
 def test_count_corpus_spills_stay_distinct_past_1000_partitions(tmp_path):
     # Spill names once keyed on len(spills) * 1000 + worker, so partition
     # 1000's first spill overwrote partition 0's second one.

@@ -17,6 +17,7 @@ import freqgap.counting
 import freqgap.pipeline
 import freqgap.tasks
 from freqgap.client import MockPolicy
+from freqgap.counting import CounterConfig
 from freqgap.demo import generate_demo_corpus
 from freqgap.pipeline import RunConfig, run_pipeline
 
@@ -69,6 +70,14 @@ def test_tracer_wraps_a_pipeline_run_and_restores_every_name(tmp_path):
     try:
         assert all(_wrapped_objects()[key] is not obj for key, obj in originals.items())
         manifest = freqgap.pipeline.run_pipeline(config)
+        # The run's count has one partition and copies its one spill; a
+        # count of two partitions merges theirs.
+        parts = tmp_path / "parts"
+        parts.mkdir()
+        for name in ("a.jsonl", "b.jsonl"):
+            (parts / name).write_bytes(corpus.read_bytes())
+        two = tmp_path / "two" / "counts.tsv"
+        freqgap.corpus.count_corpus(parts, "jsonl", CounterConfig(), two, shards=2, workers=1)
     finally:
         tracer.uninstall()
     assert _wrapped_objects() == originals
