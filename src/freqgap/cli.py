@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import signal
 import sys
 from pathlib import Path
@@ -200,6 +201,8 @@ def _cmd_eval(args) -> int:
     try:  # a mock spec or endpoint value the scorer classes reject
         if args.mock is not None:
             mock = MockPolicy.parse(args.mock)
+        elif not 0 < args.timeout < math.inf:  # EndpointConfig's check, named by its flag
+            raise UsageError("--timeout: must be a finite number > 0")
         else:
             endpoint = EndpointConfig(
                 base_url=args.endpoint,

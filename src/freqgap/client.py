@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from itertools import groupby
 from operator import attrgetter
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Sequence
 from urllib.parse import urlsplit
 
 from .counting import CountTable
@@ -64,6 +64,8 @@ class EndpointConfig:
         for name in ("max_new_tokens", "max_in_flight", "max_attempts"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if not 0 < self.timeout < math.inf:  # also refuses nan
+            raise ValueError("timeout must be a finite number > 0")
 
     @property
     def url(self) -> str:
@@ -213,17 +215,23 @@ def mock_generate(bundle: PromptBundle, freq: int, policy: MockPolicy) -> str:
 class EvalState:
     """What scoring computes once and reuses across evaluate calls.
 
-    Per test instance: the bytes of its question and, for a mock, the
-    two outputs it can give with their extracted and scored answers, and
-    for freq_logistic the probability of the right one.  Per shot set:
-    the sha256 state over its block, which each of its prompts' digests
-    continues.  run_eval keeps one state for the prompt files of one
-    task; an evaluate call without one builds its own.
+    The records of the journal, read once when the state is built.  Per
+    test instance: the bytes of its question and, for a mock, the two
+    outputs it can give with their extracted and scored answers, and for
+    freq_logistic the probability of the right one.  Per shot set: the
+    sha256 state over its block, which each of its prompts' digests
+    continues.  Both caches hold one task: the first bundle of another
+    task empties them.  run_eval keeps one state for its whole eval; an
+    evaluate call without one builds its own.
     """
 
-    def __init__(self, mock: MockPolicy | None = None, counts: CountTable | None = None):
+    def __init__(
+        self, mock: MockPolicy | None, counts: CountTable | None = None, journal: Path | None = None
+    ):
         self.mock = mock
         self.counts = counts
+        self.journaled = read_journal(journal)
+        self._task_id: str | None = None
         self._instances: dict[str, tuple] = {}
         self._shot_hashes: dict[str, Any] = {}
 
@@ -233,6 +241,12 @@ class EvalState:
         output, extracted, correct.  An endpoint's entry is the question
         bytes alone."""
         inst = bundle.test_instance
+        # Endpoint threads may race here unlocked: every entry is right for
+        # its key, so a race only leaves another task's entries cached.
+        if inst.task_id != self._task_id:
+            self._task_id = inst.task_id
+            self._instances.clear()
+            self._shot_hashes.clear()
         entry: tuple = (render_prompt(inst, with_answer=False).encode("utf-8"),)
         mock = self.mock
         if mock is not None:
@@ -396,7 +410,6 @@ def evaluate(
     journal: Path | str | None = None,
     resume: bool = False,
     sleep: Callable[[float], None] = time.sleep,
-    journaled: Mapping[tuple[str, int, int], EvalRecord] | None = None,
     state: EvalState | None = None,
 ) -> list[EvalRecord]:
     """Score every bundle against the endpoint or a mock policy.
@@ -404,31 +417,29 @@ def evaluate(
     One record per bundle comes back, sorted by (task_id, k, seed,
     instance_id).  With a journal path, each record is appended as it
     completes; resume=True takes the records of bundles already in the
-    journal (read here, or `journaled` by a caller that scores one journal
-    in several calls) and resume=False starts the journal afresh.  If the
-    endpoint is unreachable, EndpointUnreachable propagates with every
-    record completed before it journaled; the at most max_in_flight - 1
-    requests still in flight are dropped and scored again on resume.
-    A caller that scores several bundle lists of the same instances
-    passes one `state`, built with this mock and these counts.
+    journal, as the state read it when it was built, and resume=False
+    starts the journal afresh.  If the endpoint is unreachable,
+    EndpointUnreachable propagates with every record completed before it
+    journaled; the at most max_in_flight - 1 requests still in flight
+    are dropped and scored again on resume.  A caller that scores
+    several bundle lists of one journal passes one `state`, built with
+    this mock, these counts and that journal.
     """
     if (endpoint is None) == (mock is None):
         raise ValueError("exactly one of endpoint or mock must be given")
     if mock is not None and mock.reads_counts and counts is None:
         raise ValueError("freq_logistic mock needs a count table")
+    journal_path = Path(journal) if journal is not None else None
     if state is None:
-        state = EvalState(mock, counts)
+        state = EvalState(mock, counts, journal_path if resume else None)
     elif state.mock != mock or state.counts is not counts:
         raise ValueError("the eval state was built for another scorer")
     completer = _HttpCompleter(endpoint, sleep=sleep) if endpoint is not None else None
 
-    journal_path = Path(journal) if journal is not None else None
-    if journaled is None:
-        journaled = read_journal(journal_path) if resume else {}
     records: list[EvalRecord] = []
     pending = bundles
-    if journaled:
-        done = [journaled.get((b.test_instance.instance_id, b.k, b.seed)) for b in bundles]
+    if resume and state.journaled:
+        done = [state.journaled.get((b.test_instance.instance_id, b.k, b.seed)) for b in bundles]
         records = [record for record in done if record is not None]
         pending = [bundle for bundle, record in zip(bundles, done) if record is None]
 

@@ -20,7 +20,6 @@ Table files, spills included, are written by counting.write_table.
 
 from __future__ import annotations
 
-import gc
 import gzip
 import json
 import logging
@@ -145,26 +144,18 @@ def _count_units(
     spill_threshold: int,
     partition: int,
 ) -> tuple[list[str], CountMeta]:
-    # The counting loop allocates no reference cycles, so generational
-    # GC only costs time here.
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        acc = _ShardAccumulator(config)
-        spills: list[str] = []
+    acc = _ShardAccumulator(config)
+    spills: list[str] = []
 
-        def spill() -> None:
-            path = Path(spill_dir) / f"spill-{partition:05d}-{len(spills):05d}.tsv"
-            acc.spill(path)
-            spills.append(str(path))
+    def spill() -> None:
+        path = Path(spill_dir) / f"spill-{partition:05d}-{len(spills):05d}.tsv"
+        acc.spill(path)
+        spills.append(str(path))
 
-        documents = (text for unit in units for text in iter_unit_documents(unit, acc.meta))
-        acc.add_documents(documents, spill_threshold, spill)
-        spill()
-        return spills, acc.meta
-    finally:
-        if gc_was_enabled:
-            gc.enable()
+    documents = (text for unit in units for text in iter_unit_documents(unit, acc.meta))
+    acc.add_documents(documents, spill_threshold, spill)
+    spill()
+    return spills, acc.meta
 
 
 def _init_worker(parent: int) -> None:

@@ -19,6 +19,7 @@ which is cheap and catches any rewrite that updates the mtime.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import os
@@ -30,7 +31,7 @@ from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 from . import __version__
 from .analysis import build_report, write_report
 from .client import EndpointConfig, EvalRecord, EvalState, MockPolicy, RecordTally, evaluate
-from .client import load_tally, read_journal, save_records
+from .client import load_tally, save_records
 from .corpus import CORPUS_FORMATS, corpus_units, count_corpus
 from .counting import CounterConfig, CountTable
 from .tasks import (
@@ -281,20 +282,6 @@ def _corpus_signature(config: RunConfig) -> str:
     return sha256_text(canonical_json(listing))
 
 
-class _Handed:
-    """What a stage hands the stages after it: its result, or, when it
-    was skipped or returned None, load() read at most once."""
-
-    def __init__(self, result: Any, load: Callable[[], Any]):
-        self.result = result
-        self.load = load
-
-    def __call__(self) -> Any:
-        if self.result is None:
-            self.result = self.load()
-        return self.result
-
-
 class _Runner:
     def __init__(self, out: Path, manifest: RunManifest):
         self.out = out
@@ -307,9 +294,11 @@ class _Runner:
         artifacts: list[Path],
         run: Callable[[], Any],
         load: Callable[[], Any] = lambda: None,
-    ) -> _Handed:
+    ) -> Callable[[], Any]:
         """run() and record its artifacts, unless the stage is up to date
-        and skipped; hand forward run()'s result, or else load()'s."""
+        and skipped.  What the stage hands the stages after it: run()'s
+        result, or, when the stage was skipped or run() returned None,
+        load()'s, read at most once."""
         recorded = self.manifest.stages.get(name)
         rels = [str(p.relative_to(self.out)) for p in artifacts]
         if recorded is not None and recorded.get("inputs") == inputs:
@@ -319,7 +308,7 @@ class _Runner:
                 for rel, digest in existing.items()
             ):
                 log.info("stage %s: up to date, skipping", name)
-                return _Handed(None, load)
+                return functools.cache(load)
         log.info("stage %s: running", name)
         started = time.time()
         result = run()
@@ -336,7 +325,7 @@ class _Runner:
         }
         with atomic_open(self.out / "manifest.json") as f:
             f.write(canonical_json(asdict(self.manifest)))
-        return _Handed(result, load)
+        return functools.cache(load) if result is None else lambda: result
 
     def artifact_digests(self, name: str) -> dict[str, str]:
         return dict(self.manifest.stages[name]["artifacts"])
@@ -412,16 +401,16 @@ def run_eval(
 
     Bundles are scored one prompt file, one (task_id, k, seed), at a time
     in that key's order, and each file's records are written before the
-    next file is scored.  The files of one task share one EvalState, so
-    each test instance is prepared once per task, not once per file.  An
-    endpoint eval journals beside records_path until records_path is
-    written.  `inputs` fingerprints what the records depend on (prompt
-    files, count table, scorer) in journal.inputs.json: under the same
-    inputs an eval resumes from the journal, or else from records_path;
-    under other inputs both are discarded.  A mock is deterministic and
-    scoring it again is cheaper than writing every record twice, so it
-    keeps no journal, and it removes the fingerprint of the records it
-    replaces.
+    next file is scored.  One EvalState serves the whole eval: it reads
+    the journal once, and each test instance is prepared once per task,
+    not once per file.  An endpoint eval journals beside records_path
+    until records_path is written.  `inputs` fingerprints what the
+    records depend on (prompt files, count table, scorer) in
+    journal.inputs.json: under the same inputs an eval resumes from the
+    journal, or else from records_path; under other inputs both are
+    discarded.  A mock is deterministic and scoring it again is cheaper
+    than writing every record twice, so it keeps no journal, and it
+    removes the fingerprint of the records it replaces.
     """
     journal = records_path.with_name("journal.jsonl")
     fingerprint = records_path.with_name("journal.inputs.json")
@@ -438,21 +427,17 @@ def run_eval(
                 f.write(current)
     if not resume:
         journal.unlink(missing_ok=True)
-    journaled = read_journal(journal)  # once for every file
+    state = EvalState(mock, counts, journal)
     files: dict[tuple[str, int, int], list[PromptBundle]] = {}
     for bundle in bundles:
         files.setdefault((bundle.test_instance.task_id, bundle.k, bundle.seed), []).append(bundle)
     tally = RecordTally()
 
     def scored() -> Iterator[EvalRecord]:  # binds no record, so a file's records die with it
-        task_id = state = None
         for key in sorted(files):
-            if key[0] != task_id:  # the last task's state goes with it
-                task_id, state = key[0], EvalState(mock, counts)
             yield from tally.add(evaluate(
                 files.pop(key), endpoint=endpoint, mock=mock, counts=counts, resume=True,
-                journal=journal if endpoint is not None else None, journaled=journaled,
-                state=state,
+                journal=journal if endpoint is not None else None, state=state,
             ))
 
     save_records(scored(), records_path)

@@ -253,6 +253,14 @@ def test_unusable_endpoint_value_exits_1(tmp_path, capsys):
     assert main(["eval", "--bundles", bundles, "--out", out, "--mock", "nonsense"]) == 1
 
 
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+def test_a_timeout_that_is_not_a_finite_positive_number_exits_1(tmp_path, capsys, value):
+    argv = ["eval", "--bundles", str(tmp_path / "b.jsonl"), "--out", str(tmp_path / "eval")]
+    argv += ["--endpoint", "http://x", "--model", "m", "--timeout", value]
+    assert main(argv) == 1
+    assert "freqgap: --timeout: must be a finite number > 0" in capsys.readouterr().err
+
+
 def test_count_rejects_targets_outside_the_counted_families(workspace, tmp_path, capsys):
     targets = tmp_path / "targets.txt"
     targets.write_text("u:hour|u:day\n")

@@ -277,6 +277,35 @@ def _sorted_like_records(records):
     return sorted(records, key=lambda r: (r.task_id, r.k, r.seed, r.instance_id))
 
 
+def test_run_eval_keeps_one_state_whose_instance_cache_holds_one_task(tmp_path, monkeypatch):
+    import freqgap.pipeline as pipeline_mod
+
+    states, cached = [], []  # every state built; (task, cached instance ids) after each file
+
+    class CountedState(EvalState):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            states.append(self)
+
+    def recording_evaluate(bundles, **kwargs):
+        task_id = bundles[0].test_instance.task_id
+        records = evaluate(bundles, **kwargs)
+        cached.append((task_id, set(kwargs["state"]._instances)))
+        return records
+
+    monkeypatch.setattr(pipeline_mod, "EvalState", CountedState)
+    monkeypatch.setattr(pipeline_mod, "evaluate", recording_evaluate)
+    bundles = _two_task_bundles()
+    task_ids = {}
+    for b in bundles:
+        task_ids.setdefault(b.test_instance.task_id, set()).add(b.test_instance.instance_id)
+    run_eval(bundles, tmp_path / "records.jsonl", {}, MockPolicy("perfect"))
+    assert len(states) == 1
+    assert [task_id for task_id, _ in cached] == ["hour_min"] * 4 + ["mult"] * 4
+    for task_id, ids in cached:
+        assert ids and ids <= task_ids[task_id]  # mult's first file finds hour_min's gone
+
+
 def test_a_state_built_for_another_scorer_is_refused():
     bundles = _bundles(3)
     state = EvalState(MockPolicy("perfect"))
@@ -388,6 +417,9 @@ def test_prompt_digests_are_the_sha256_of_the_rendered_prompt(stub):
 def test_endpoint_config_validation():
     with pytest.raises(ValueError):
         EndpointConfig("http://x", "m", max_in_flight=0)
+    for timeout in (0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="timeout must be a finite number > 0"):
+            EndpointConfig("http://x", "m", timeout=timeout)
 
 
 def test_endpoint_url_building():

@@ -16,10 +16,11 @@ import freqgap.corpus
 import freqgap.counting
 import freqgap.pipeline
 import freqgap.tasks
-from freqgap.client import MockPolicy
+from freqgap.client import EndpointConfig, MockPolicy, evaluate
 from freqgap.counting import CounterConfig
 from freqgap.demo import generate_demo_corpus
 from freqgap.pipeline import RunConfig, run_pipeline
+from freqgap.tasks import build_fewshot_prompts, make_instance
 
 # loaded by file under its own module name, so perfbench's top-level
 # module names (spans, run, worker) never shadow imports of other tests
@@ -109,3 +110,16 @@ def test_tracer_wraps_a_pipeline_run_and_restores_every_name(tmp_path):
     assert len(list((out / "prompts").glob("*.jsonl"))) == 2 * 2 * 1
     # an untraced re-run finds every stage up to date
     assert run_pipeline(config).stages == manifest.stages
+
+
+def test_the_eval_http_call_binds_to_evaluate_and_returns_a_list(tmp_path):
+    """perfbench's eval-http workload (worker.run_eval) calls evaluate this
+    way; its journaled bundles come back without a request."""
+    dataset = [make_instance("mult", (x1, 7)) for x1 in range(2, 8)]
+    bundles = build_fewshot_prompts(dataset, 2, seed=0)
+    journal = tmp_path / "journal.jsonl"
+    expected = evaluate(bundles, mock=MockPolicy("perfect"), journal=journal)
+    endpoint = EndpointConfig(base_url="http://127.0.0.1:9", model_name="stub", timeout=10.0)
+    records = evaluate(bundles, endpoint=endpoint, journal=journal, resume=True)
+    assert type(records) is list
+    assert records == expected

@@ -144,6 +144,8 @@ def _endpoint_config(**endpoint):
         (_config(ks=[True, 2]), "ks: invalid shot counts [True]"),
         (_config(tasks=["mult", "add", "mult"]), "tasks: must not repeat an entry"),
         (_config(ks=[0, 2, 0]), "ks: must not repeat an entry"),
+        (_endpoint_config(timeout=-1), "endpoint: timeout must be a finite number > 0"),
+        (_endpoint_config(timeout=0.0), "endpoint: timeout must be a finite number > 0"),
     ],
 )
 def test_values_the_runner_cannot_use_are_one_diagnostic_each(data, diagnostic):
@@ -680,7 +682,6 @@ def test_an_endpoint_eval_cut_between_two_prompt_files_resumes_to_the_clean_run(
     small_corpus, tmp_path, stub, monkeypatch
 ):
     import freqgap.client as client_mod
-    import freqgap.pipeline as pipeline_mod
 
     state, url = stub
     # latencies are pinned, so that two runs' records files compare byte for byte
@@ -711,7 +712,6 @@ def test_an_endpoint_eval_cut_between_two_prompt_files_resumes_to_the_clean_run(
         reads.append(path)
         return read_journal(path)
 
-    monkeypatch.setattr(pipeline_mod, "read_journal", counting_read_journal)
     monkeypatch.setattr(client_mod, "read_journal", counting_read_journal)
     run_pipeline(config)
     assert reads == [journal]  # once per eval, not once per prompt file
