@@ -1,5 +1,6 @@
 /* The compiled counting kernel of freqgap.counting: term scan, window
- * loop and count table for batches of documents.
+ * loop and count table for batches of documents, and the records of
+ * JSONL lines.
  *
  * A batch is the UTF-8 encodings of its documents (lone surrogates
  * encoded as with Python's "surrogatepass") joined by the byte 0xFF,
@@ -18,14 +19,20 @@
  *     pair with both values below nn_max, and the triples of the anchor
  *     table are counted over the position tuples of span <= window - 1.
  *
+ * fg_count_jsonl counts JSONL lines as they are read: for each line it
+ * decides what json.loads(line.decode("utf-8"))["text"] gives (see
+ * "JSONL records" below), and counts that text in place, or from a
+ * scratch buffer when it holds escapes.  A line it cannot decide exactly
+ * goes back to the caller, which decodes it with Python's json.
+ *
  * Counts live in an open-addressing table keyed by packed 64-bit ints
  * (see "packed keys" below); fg_dump unpacks them.  The tests compare
  * this kernel with the Python path and with a brute-force oracle, and
  * pin SPACE_POINTS and LOWER_FROM against the running Python's str.
  *
  * Built as a plain shared library (no Python headers) and called through
- * ctypes: fg_setup once per process, then fg_new, fg_count, fg_size,
- * fg_dump, fg_clear and fg_free per counter.
+ * ctypes: fg_setup once per process, then fg_new, fg_count,
+ * fg_count_jsonl, fg_size, fg_dump, fg_clear and fg_free per counter.
  */
 
 #include <stdint.h>
@@ -55,13 +62,17 @@ static const unsigned char LOWER_TO[] = {'k'};
 
 #define MAX_FORMS 64
 #define MAX_FORM_LEN 7 /* a form and its length pack into one uint64 */
+#define FORM_BITS 7 /* the forms' hash has 2^FORM_BITS >= 2 * MAX_FORMS slots */
+#define FORM_SLOTS (1 << FORM_BITS)
 #define MAX_UNITS 32
 #define SMALL_UNIT 0x8000 /* see small() */
 
 static unsigned char byte_class[256];
-static uint64_t form_words[MAX_FORMS];
-static int64_t form_codes[MAX_FORMS];
-static int64_t n_forms;
+/* The unit forms as packed words (see classify), hashed by mix(); an
+ * empty slot holds 0, which no word is. */
+static uint64_t form_words[FORM_SLOTS];
+static int64_t form_codes[FORM_SLOTS];
+static int64_t form_min_len, form_max_len;
 static int64_t unit_base;
 static int64_t nn_max;
 
@@ -121,6 +132,8 @@ static inline int space_width(const unsigned char *s, int64_t n)
 
 static uint64_t mix(uint64_t key) { return key * 0x9E3779B97F4A7C15ULL; }
 
+static inline uint32_t form_slot(uint64_t word) { return (uint32_t)(mix(word) >> (64 - FORM_BITS)); }
+
 /* Writes the kernel's SPACE_POINTS and LOWER_FROM/LOWER_TO to the given
  * arrays (of at least 64 entries each); returns the two counts packed as
  * n_spaces << 8 | n_lowers. */
@@ -155,15 +168,26 @@ int fg_setup(const unsigned char *strip, int64_t n_strip,
     }
     for (int ch = '0'; ch <= '9'; ch++)
         byte_class[ch] |= TERM_START;
+    memset(form_words, 0, sizeof form_words);
+    form_min_len = MAX_FORM_LEN;
+    form_max_len = 0;
     for (int64_t f = 0; f < n; f++) {
         if (lens[f] < 1 || lens[f] > MAX_FORM_LEN || lens[f] > width
             || codes[f] < base || codes[f] >= base + MAX_UNITS)
             return -1;
         const unsigned char *form = packed + f * width;
-        form_words[f] = (uint64_t)lens[f] << 56;
+        uint64_t word = (uint64_t)lens[f] << 56;
         for (int64_t i = 0; i < lens[f]; i++)
-            form_words[f] |= (uint64_t)form[i] << 8 * i;
-        form_codes[f] = codes[f];
+            word |= (uint64_t)form[i] << 8 * i;
+        uint32_t slot = form_slot(word);
+        while (form_words[slot] && form_words[slot] != word)
+            slot = (slot + 1) & (FORM_SLOTS - 1);
+        form_words[slot] = word;
+        form_codes[slot] = codes[f];
+        if (lens[f] < form_min_len)
+            form_min_len = lens[f];
+        if (lens[f] > form_max_len)
+            form_max_len = lens[f];
         unsigned char first = form[0];
         if (first >= 0x80 || (first >= 'A' && first <= 'Z'))
             return -1; /* forms are lower-case ASCII */
@@ -174,7 +198,6 @@ int fg_setup(const unsigned char *strip, int64_t n_strip,
             if (LOWER_TO[l] == first)
                 byte_class[encode_lead(LOWER_FROM[l])] |= TERM_START;
     }
-    n_forms = n;
     unit_base = base;
     nn_max = nn_bound;
 
@@ -257,6 +280,8 @@ typedef struct {
     int64_t terms_cap;
     int64_t maxdist;
     int64_t max_digits;
+    unsigned char *scratch; /* a record's text without its escapes */
+    int64_t scratch_cap;
 } counter;
 
 #define MIN_CAP 1024
@@ -305,6 +330,7 @@ void fg_free(counter *c)
     free(c->keys);
     free(c->counts);
     free(c->terms);
+    free(c->scratch);
     free(c);
 }
 
@@ -414,6 +440,9 @@ static int64_t classify(const counter *c, const unsigned char *s, int64_t len)
         }
         return value;
     }
+    /* no character is shorter than a byte */
+    if (len < form_min_len)
+        return -1;
     /* the lowered characters, one a byte, with their count in the top byte */
     uint64_t word = 0;
     int64_t m = 0;
@@ -434,14 +463,14 @@ static int64_t classify(const counter *c, const unsigned char *s, int64_t len)
             if (!ch)
                 return -1;
         }
-        if (m == MAX_FORM_LEN)
+        if (m == form_max_len)
             return -1;
         word |= (uint64_t)ch << 8 * m++;
     }
     word |= (uint64_t)m << 56;
-    for (int64_t f = 0; f < n_forms; f++)
-        if (form_words[f] == word)
-            return form_codes[f];
+    for (uint32_t slot = form_slot(word); form_words[slot]; slot = (slot + 1) & (FORM_SLOTS - 1))
+        if (form_words[slot] == word)
+            return form_codes[slot];
     return -1;
 }
 
@@ -460,32 +489,84 @@ static int add_term(counter *c, int64_t k, int64_t pos, int64_t code)
     return 0;
 }
 
+/* Adds the token s[a:b] at position to c->terms when it is a term; -1
+ * when out of memory. */
+static inline int token(counter *c, const unsigned char *s, int64_t a, int64_t b,
+                        int64_t position, int64_t *k)
+{
+    while (a < b && (byte_class[s[a]] & STRIP))
+        a++;
+    while (b > a && (byte_class[s[b - 1]] & STRIP))
+        b--;
+    if (a < b && (byte_class[s[a]] & TERM_START)) {
+        int64_t code = classify(c, s + a, b - a);
+        if (code >= 0 && add_term(c, (*k)++, position, code))
+            return -1;
+    }
+    return 0;
+}
+
+#define ONES 0x0101010101010101ULL
+#define HIGHS 0x8080808080808080ULL
+
+/* s[0:8] as a little-endian word on any host: byte i is bits 8i..8i+7. */
+static inline uint64_t load_le(const unsigned char *s)
+{
+    return (uint64_t)s[0] | (uint64_t)s[1] << 8 | (uint64_t)s[2] << 16 | (uint64_t)s[3] << 24
+           | (uint64_t)s[4] << 32 | (uint64_t)s[5] << 40 | (uint64_t)s[6] << 48
+           | (uint64_t)s[7] << 56;
+}
+
+/* Bit i set for each byte s[i] of the 64 that may begin a space: a byte
+ * below 0x21 (the ASCII spaces and some others), or a byte classed
+ * MAYBE_SPACE (the lead bytes of the non-ASCII spaces among them). */
+static inline uint64_t space_candidates(const unsigned char *s)
+{
+    uint64_t mask = 0;
+    for (int k = 0; k < 8; k++) {
+        uint64_t x = load_le(s + 8 * k);
+        /* the high bit of each byte below 0x21: adding 0x5F to its low
+         * seven bits carries into no other byte */
+        uint64_t below = ~(((x & ~HIGHS) + 0x5F * ONES) | x) & HIGHS;
+        /* gathers bit 8i+7 into bit 56+i: the products' bits are distinct */
+        uint64_t bits = ((below >> 7) * 0x0102040810204080ULL) >> 56;
+        if (x & HIGHS)
+            for (int i = 0; i < 8; i++)
+                bits |= (uint64_t)(byte_class[s[8 * k + i]] & MAYBE_SPACE) << i;
+        mask |= bits << 8 * k;
+    }
+    return mask;
+}
+
 /* Scans s[0:n] into c->terms; returns the term count (-1: out of memory)
- * and adds the token count to *tokens. */
+ * and adds the token count to *tokens.  Spaces are found 64 bytes at a
+ * time: each candidate byte is confirmed by space_width. */
 static int64_t scan(counter *c, const unsigned char *s, int64_t n, int64_t *tokens)
 {
-    int64_t i = 0, position = 0, k = 0;
-    for (;;) {
-        int w;
-        while (i < n && (w = space_width(s + i, n - i)))
-            i += w;
-        if (i >= n)
-            break;
-        int64_t a = i;
-        while (i < n && !space_width(s + i, n - i))
-            i++;
-        int64_t b = i;
-        while (a < b && (byte_class[s[a]] & STRIP))
-            a++;
-        while (b > a && (byte_class[s[b - 1]] & STRIP))
-            b--;
-        if (a < b && (byte_class[s[a]] & TERM_START)) {
-            int64_t code = classify(c, s + a, b - a);
-            if (code >= 0 && add_term(c, k++, position, code))
-                return -1;
+    int64_t position = 0, k = 0;
+    int64_t a = 0; /* where the current token starts, if it is not a space */
+    unsigned char tail[64];
+    for (int64_t base = 0; base < n; base += 64) {
+        uint64_t m;
+        if (n - base >= 64) {
+            m = space_candidates(s + base);
+        } else {
+            memset(tail, 'a', sizeof tail);
+            memcpy(tail, s + base, (size_t)(n - base));
+            m = space_candidates(tail) & (((uint64_t)1 << (n - base)) - 1);
         }
-        position++;
+        for (; m; m &= m - 1) {
+            int64_t p = base + __builtin_ctzll(m);
+            int w;
+            if (p < a || !(w = space_width(s + p, n - p)))
+                continue;
+            if (p > a && token(c, s, a, p, position++, &k))
+                return -1;
+            a = p + w;
+        }
     }
+    if (n > a && token(c, s, a, n, position++, &k))
+        return -1;
     *tokens += position;
     return k;
 }
@@ -568,4 +649,447 @@ int64_t fg_count(counter *c, const unsigned char *buf, int64_t start, int64_t le
             return end;
         i = end + 1;
     }
+}
+
+/* -- JSONL records ------------------------------------------------------ */
+
+/* For each line, the kernel decides what
+ *
+ *     json.loads(line.decode("utf-8"))["text"]
+ *
+ * gives in Python (the json module's C scanner, default options): strict
+ * UTF-8; JSON whitespace (space, tab, LF, CR) only; strings without raw
+ * control characters, with the escapes \" \\ \/ \b \f \n \r \t \uXXXX,
+ * a high surrogate escape followed by a low one joined into one
+ * character and any other surrogate escape kept as a lone surrogate;
+ * NaN, Infinity and -Infinity; the last of duplicate keys wins, keys
+ * compared after their escapes.  A line that raises, is no object, or
+ * whose "text" is missing or no string is skipped; a line that
+ * bytes.strip() empties is ignored.  Two things depend on the running
+ * Python, so such a line goes back to the caller: containers nested
+ * deeper than MAX_DEPTH (Python's recursion limit) and integer literals
+ * of more than MAX_INT_DIGITS digits (sys.set_int_max_str_digits). */
+
+#define MAX_DEPTH 64
+#define MAX_INT_DIGITS 640 /* the lowest limit set_int_max_str_digits accepts */
+
+enum { LINE_BLANK, LINE_SKIP, LINE_TEXT, LINE_PYTHON };
+
+typedef struct {
+    const unsigned char *end; /* of the line */
+    int verdict;              /* LINE_SKIP or LINE_PYTHON, once a scan fails */
+} json;
+
+static const unsigned char *fail(json *j, int verdict)
+{
+    j->verdict = verdict;
+    return NULL;
+}
+
+static inline const unsigned char *skip_ws(const unsigned char *p, const unsigned char *e)
+{
+    while (p < e && (*p == ' ' || *p == '\t' || *p == '\n' || *p == '\r'))
+        p++;
+    return p;
+}
+
+static inline int is_digit(unsigned char ch) { return ch >= '0' && ch <= '9'; }
+
+/* The value of the four hex digits at s, or -1. */
+static int32_t hex4(const unsigned char *s)
+{
+    int32_t v = 0;
+    for (int i = 0; i < 4; i++) {
+        unsigned char ch = s[i];
+        int d = is_digit(ch) ? ch - '0' : (ch | 0x20) >= 'a' && (ch | 0x20) <= 'f'
+                                              ? (ch | 0x20) - 'a' + 10 : -1;
+        if (d < 0)
+            return -1;
+        v = v << 4 | d;
+    }
+    return v;
+}
+
+/* Length of the UTF-8 sequence at s[0:n], s[0] >= 0x80, as Python's
+ * strict decoder reads it (no overlong forms, surrogates or code points
+ * above U+10FFFF); 0 when invalid. */
+static int utf8_width(const unsigned char *s, int64_t n)
+{
+    unsigned char b = s[0], lo = 0x80, hi = 0xBF;
+    int w;
+    if (b >= 0xC2 && b <= 0xDF) {
+        w = 2;
+    } else if (b >= 0xE0 && b <= 0xEF) {
+        w = 3;
+        if (b == 0xE0)
+            lo = 0xA0;
+        else if (b == 0xED)
+            hi = 0x9F;
+    } else if (b >= 0xF0 && b <= 0xF4) {
+        w = 4;
+        if (b == 0xF0)
+            lo = 0x90;
+        else if (b == 0xF4)
+            hi = 0x8F;
+    } else {
+        return 0;
+    }
+    if (w > n || s[1] < lo || s[1] > hi)
+        return 0;
+    for (int i = 2; i < w; i++)
+        if ((s[i] & 0xC0) != 0x80)
+            return 0;
+    return w;
+}
+
+/* Whether any byte of x is a quote, a backslash, below 0x20 or above 0x7F. */
+static inline int string_stop(uint64_t x)
+{
+    uint64_t quote = x ^ ('"' * ONES), backslash = x ^ ('\\' * ONES);
+    return (((x - 0x20 * ONES) & ~x) | ((quote - ONES) & ~quote)
+            | ((backslash - ONES) & ~backslash) | x) & HIGHS ? 1 : 0;
+}
+
+/* Scans the string whose opening quote is p[-1]; returns the position
+ * after its closing quote, or NULL when it is no string json reads or not
+ * UTF-8.  Sets *escaped when it holds an escape. */
+static const unsigned char *scan_string(const unsigned char *p, const unsigned char *e, int *escaped)
+{
+    for (;;) {
+        while (e - p >= 8) {
+            uint64_t x;
+            memcpy(&x, p, 8);
+            if (string_stop(x))
+                break;
+            p += 8;
+        }
+        if (p >= e)
+            return NULL;
+        unsigned char ch = *p;
+        if (ch == '"')
+            return p + 1;
+        if (ch == '\\') {
+            *escaped = 1;
+            if (e - p < 2)
+                return NULL;
+            switch (p[1]) {
+            case '"': case '\\': case '/': case 'b': case 'f': case 'n': case 'r': case 't':
+                p += 2;
+                break;
+            case 'u':
+                if (e - p < 6 || hex4(p + 2) < 0)
+                    return NULL;
+                p += 6;
+                break;
+            default:
+                return NULL;
+            }
+        } else if (ch < 0x20) {
+            return NULL;
+        } else if (ch < 0x80) {
+            p++;
+        } else {
+            int w = utf8_width(p, e - p);
+            if (!w)
+                return NULL;
+            p += w;
+        }
+    }
+}
+
+/* Writes cp as UTF-8 to out, a surrogate as "surrogatepass" does;
+ * returns the byte count. */
+static int encode_utf8(uint32_t cp, unsigned char *out)
+{
+    if (cp < 0x80) {
+        out[0] = (unsigned char)cp;
+        return 1;
+    }
+    if (cp < 0x800) {
+        out[0] = (unsigned char)(0xC0 | cp >> 6);
+        out[1] = (unsigned char)(0x80 | (cp & 0x3F));
+        return 2;
+    }
+    if (cp < 0x10000) {
+        out[0] = (unsigned char)(0xE0 | cp >> 12);
+        out[1] = (unsigned char)(0x80 | (cp >> 6 & 0x3F));
+        out[2] = (unsigned char)(0x80 | (cp & 0x3F));
+        return 3;
+    }
+    out[0] = (unsigned char)(0xF0 | cp >> 18);
+    out[1] = (unsigned char)(0x80 | (cp >> 12 & 0x3F));
+    out[2] = (unsigned char)(0x80 | (cp >> 6 & 0x3F));
+    out[3] = (unsigned char)(0x80 | (cp & 0x3F));
+    return 4;
+}
+
+/* Writes the text of the string body s[0:n], which scan_string accepted,
+ * to out (at most n bytes: no escape is shorter than its UTF-8); returns
+ * its length. */
+static int64_t unescape(const unsigned char *s, int64_t n, unsigned char *out)
+{
+    const unsigned char *e = s + n;
+    unsigned char *o = out;
+    for (;;) {
+        const unsigned char *bs = memchr(s, '\\', (size_t)(e - s));
+        if (!bs)
+            bs = e;
+        memcpy(o, s, (size_t)(bs - s));
+        o += bs - s;
+        if (bs == e)
+            return o - out;
+        s = bs + 2;
+        switch (bs[1]) {
+        case 'b': *o++ = '\b'; break;
+        case 'f': *o++ = '\f'; break;
+        case 'n': *o++ = '\n'; break;
+        case 'r': *o++ = '\r'; break;
+        case 't': *o++ = '\t'; break;
+        case 'u': {
+            uint32_t cp = (uint32_t)hex4(s);
+            s += 4;
+            if (cp >= 0xD800 && cp <= 0xDBFF && e - s >= 6 && s[0] == '\\' && s[1] == 'u') {
+                uint32_t low = (uint32_t)hex4(s + 2);
+                if (low >= 0xDC00 && low <= 0xDFFF) {
+                    cp = 0x10000 + ((cp - 0xD800) << 10 | (low - 0xDC00));
+                    s += 6;
+                }
+            }
+            o += encode_utf8(cp, o);
+            break;
+        }
+        default: /* " \ / */
+            *o++ = bs[1];
+        }
+    }
+}
+
+/* Scans a number at p; NULL when there is none, or (verdict LINE_PYTHON)
+ * when it is an integer literal of more than MAX_INT_DIGITS digits.  A
+ * '.', 'e' or 'E' it leaves unread fails the caller, as in json. */
+static const unsigned char *scan_number(json *j, const unsigned char *p)
+{
+    const unsigned char *e = j->end;
+    if (p < e && *p == '-')
+        p++;
+    const unsigned char *digits = p;
+    if (p < e && *p == '0')
+        p++;
+    else if (p < e && *p >= '1' && *p <= '9')
+        while (p < e && is_digit(*p))
+            p++;
+    else
+        return fail(j, LINE_SKIP);
+    int64_t n_digits = p - digits;
+    int integer = 1;
+    if (e - p >= 2 && *p == '.' && is_digit(p[1])) {
+        for (p += 2; p < e && is_digit(*p); p++)
+            ;
+        integer = 0;
+    }
+    if (p < e && (*p == 'e' || *p == 'E')) {
+        const unsigned char *q = p + 1;
+        if (q < e && (*q == '+' || *q == '-'))
+            q++;
+        if (q < e && is_digit(*q)) {
+            for (p = q; p < e && is_digit(*p); p++)
+                ;
+            integer = 0;
+        }
+    }
+    if (integer && n_digits > MAX_INT_DIGITS)
+        return fail(j, LINE_PYTHON);
+    return p;
+}
+
+static const unsigned char *scan_literal(json *j, const unsigned char *p, const char *word)
+{
+    size_t n = strlen(word);
+    if ((size_t)(j->end - p) < n || memcmp(p, word, n))
+        return fail(j, LINE_SKIP);
+    return p + n;
+}
+
+static const unsigned char *scan_value(json *j, const unsigned char *p, int depth);
+
+/* Scans the object or array opened at p, at nesting depth. */
+static const unsigned char *scan_container(json *j, const unsigned char *p, int depth)
+{
+    const unsigned char *e = j->end;
+    if (depth > MAX_DEPTH)
+        return fail(j, LINE_PYTHON);
+    unsigned char close = *p == '{' ? '}' : ']';
+    p = skip_ws(p + 1, e);
+    if (p < e && *p == close)
+        return p + 1;
+    for (;;) {
+        if (close == '}') {
+            int escaped;
+            if (p >= e || *p != '"' || !(p = scan_string(p + 1, e, &escaped)))
+                return fail(j, LINE_SKIP);
+            p = skip_ws(p, e);
+            if (p >= e || *p != ':')
+                return fail(j, LINE_SKIP);
+            p = skip_ws(p + 1, e);
+        }
+        if (!(p = scan_value(j, p, depth)))
+            return NULL;
+        p = skip_ws(p, e);
+        if (p < e && *p == close)
+            return p + 1;
+        if (p >= e || *p != ',')
+            return fail(j, LINE_SKIP);
+        p = skip_ws(p + 1, e);
+    }
+}
+
+/* Scans the value at p inside containers nested depth deep. */
+static const unsigned char *scan_value(json *j, const unsigned char *p, int depth)
+{
+    const unsigned char *e = j->end;
+    if (p >= e)
+        return fail(j, LINE_SKIP);
+    switch (*p) {
+    case '"': {
+        int escaped;
+        p = scan_string(p + 1, e, &escaped);
+        return p ? p : fail(j, LINE_SKIP);
+    }
+    case '{':
+    case '[':
+        return scan_container(j, p, depth + 1);
+    case 'n':
+        return scan_literal(j, p, "null");
+    case 't':
+        return scan_literal(j, p, "true");
+    case 'f':
+        return scan_literal(j, p, "false");
+    case 'N':
+        return scan_literal(j, p, "NaN");
+    case 'I':
+        return scan_literal(j, p, "Infinity");
+    case '-':
+        if (e - p >= 9 && !memcmp(p + 1, "Infinity", 8))
+            return p + 9;
+        /* fall through */
+    default:
+        return scan_number(j, p);
+    }
+}
+
+/* Whether the key body s[0:n], which scan_string accepted, reads "text". */
+static int is_text_key(const unsigned char *s, int64_t n, int escaped)
+{
+    if (!escaped)
+        return n == 4 && !memcmp(s, "text", 4);
+    unsigned char key[24]; /* four characters, each at most six bytes */
+    return n <= (int64_t)sizeof key && unescape(s, n, key) == 4 && !memcmp(key, "text", 4);
+}
+
+/* Decides the line s[0:n] (without its newline): LINE_TEXT with the body
+ * of its "text" string in *text, *len and *escaped, or LINE_BLANK,
+ * LINE_SKIP or LINE_PYTHON. */
+static int parse_record(const unsigned char *s, int64_t n, const unsigned char **text,
+                        int64_t *len, int *escaped)
+{
+    const unsigned char *e = s + n, *p = s;
+    while (p < e && (*p == ' ' || (*p >= '\t' && *p <= '\r'))) /* bytes.strip()'s set */
+        p++;
+    if (p == e)
+        return LINE_BLANK;
+    /* a line that holds no object raises in json.loads or in ["text"] */
+    p = skip_ws(s, e);
+    if (p == e || *p != '{')
+        return LINE_SKIP;
+    json j = {e, LINE_SKIP};
+    int found = 0; /* 1: "text" is a string, 2: it is some other value */
+    p = skip_ws(p + 1, e);
+    if (p < e && *p == '}') {
+        p++;
+    } else {
+        for (;;) {
+            if (p >= e || *p != '"')
+                return LINE_SKIP;
+            int key_escaped = 0;
+            const unsigned char *key = p + 1;
+            if (!(p = scan_string(key, e, &key_escaped)))
+                return LINE_SKIP;
+            int is_text = is_text_key(key, p - 1 - key, key_escaped);
+            p = skip_ws(p, e);
+            if (p >= e || *p != ':')
+                return LINE_SKIP;
+            p = skip_ws(p + 1, e);
+            if (is_text && p < e && *p == '"') {
+                *text = p + 1;
+                *escaped = 0;
+                if (!(p = scan_string(p + 1, e, escaped)))
+                    return LINE_SKIP;
+                *len = p - 1 - *text;
+                found = 1;
+            } else {
+                if (!(p = scan_value(&j, p, 1)))
+                    return j.verdict;
+                if (is_text)
+                    found = 2;
+            }
+            p = skip_ws(p, e);
+            if (p < e && *p == '}') {
+                p++;
+                break;
+            }
+            if (p >= e || *p != ',')
+                return LINE_SKIP;
+            p = skip_ws(p + 1, e);
+        }
+    }
+    if (skip_ws(p, e) != e || found != 1)
+        return LINE_SKIP;
+    return LINE_TEXT;
+}
+
+/* Counts the records of the JSONL lines in buf[start:len] (each line
+ * ends in '\n', but for one at len), adding the documents, tokens and
+ * skipped lines to totals[0], totals[1] and totals[2].  Stops after the
+ * first record at whose end the table holds at least threshold keys, or
+ * before a line it cannot decide, which it marks by setting totals[3] to
+ * 1.  Returns the offset of the line it stopped before (len when there
+ * is none), or -1 when out of memory. */
+int64_t fg_count_jsonl(counter *c, const unsigned char *buf, int64_t start, int64_t len,
+                       int64_t threshold, int64_t *totals)
+{
+    for (int64_t i = start; i < len;) {
+        const unsigned char *nl = memchr(buf + i, '\n', (size_t)(len - i));
+        int64_t end = nl ? nl - buf : len, next = nl ? end + 1 : len;
+        const unsigned char *text = NULL;
+        int64_t n = 0;
+        int escaped = 0;
+        switch (parse_record(buf + i, end - i, &text, &n, &escaped)) {
+        case LINE_PYTHON:
+            totals[3] = 1;
+            return i;
+        case LINE_SKIP:
+            totals[2]++;
+            break;
+        case LINE_TEXT:
+            if (escaped) {
+                if (n > c->scratch_cap) {
+                    unsigned char *scratch = realloc(c->scratch, (size_t)n);
+                    if (!scratch)
+                        return -1;
+                    c->scratch = scratch;
+                    c->scratch_cap = n;
+                }
+                n = unescape(text, n, c->scratch);
+                text = c->scratch;
+            }
+            if (count_document(c, text, n, &totals[1]))
+                return -1;
+            totals[0]++;
+            if ((int64_t)c->used >= threshold)
+                return next;
+            break;
+        }
+        i = next;
+    }
+    return len;
 }

@@ -6,10 +6,13 @@ field (one document per record).  Gzip-compressed files are accepted in
 both.  Documents that fail UTF-8 decoding or JSON parsing are skipped
 and counted.
 
-Every jsonl file, compressed or not, is read by one buffered line loop.
-An uncompressed file of at least _SPLIT_MIN_BYTES is cut into one byte
-range per shard; a line belongs to the range holding its first byte, so
-every line is read exactly once whatever the cuts.
+Every jsonl file, compressed or not, is read in blocks of whole lines
+of about _BLOCK_BYTES.  An uncompressed file of at least
+_SPLIT_MIN_BYTES is cut into one byte range per shard; a line belongs to
+the range holding its first byte, so every line is read exactly once
+whatever the cuts.  A count hands the blocks to the counting kernel,
+which decodes each record's "text" from the bytes; counting.record_text
+decodes the lines it hands back, and every line where no kernel loads.
 
 Shards are counted by independent worker processes; each worker spills
 its partial tables to disk as sorted files named by (partition, spill
@@ -21,7 +24,6 @@ Table files, spills included, are written by counting.write_table.
 from __future__ import annotations
 
 import gzip
-import json
 import logging
 import math
 import multiprocessing
@@ -36,12 +38,14 @@ from itertools import count, repeat
 from pathlib import Path
 from typing import Iterable, Iterator
 
+from . import counting
 from .counting import (
     CounterConfig,
     CountMeta,
     _ShardAccumulator,
     combine_metas,
     copy_count_file,
+    jsonl_documents,
     merge_sorted_count_files,
     read_meta,
     table_file,
@@ -53,6 +57,9 @@ CORPUS_FORMATS = ("text", "jsonl")
 
 # Uncompressed jsonl files at least this large are split into byte ranges.
 _SPLIT_MIN_BYTES = 8 << 20
+
+# jsonl files are read in blocks of whole lines of about this many bytes.
+_BLOCK_BYTES = 1 << 18
 
 # Spill partial tables once this many distinct keys accumulate.
 DEFAULT_SPILL_THRESHOLD = 4_000_000
@@ -93,20 +100,28 @@ def corpus_units(path: Path | str, fmt: str, shards: int = 1) -> list[ShardUnit]
     return units
 
 
-def _iter_jsonl_lines(unit: ShardUnit) -> Iterator[bytes]:
-    """The unit's lines, each with its newline; a range's last line runs past its end."""
+def _iter_jsonl_blocks(unit: ShardUnit) -> Iterator[bytes]:
+    """The unit's lines, each with its newline but for a last one at EOF,
+    in blocks of whole lines; a range's last line runs past its end."""
     path = Path(unit.path)
     with (gzip.open if path.suffix == ".gz" else open)(path, "rb") as f:
         if unit.start > 0:
             f.seek(unit.start - 1)
             if f.read(1) != b"\n":
                 f.readline()
-        pos = f.tell()
-        for line in f:
-            if pos >= unit.end:
-                break
-            pos += len(line)
-            yield line
+        pos = f.tell()  # of the next block, a line start
+        while pos < unit.end:
+            block = f.read(_BLOCK_BYTES)
+            if not block:
+                return
+            block += f.readline()
+            limit = unit.end - pos  # the block's lines from this offset on are the next range's
+            if limit <= len(block):
+                cut = block.find(b"\n", limit - 1) + 1
+                yield block[:cut] if cut else block
+                return
+            yield block
+            pos += len(block)
 
 
 def iter_unit_documents(unit: ShardUnit, meta: CountMeta) -> Iterator[str]:
@@ -122,19 +137,7 @@ def iter_unit_documents(unit: ShardUnit, meta: CountMeta) -> Iterator[str]:
             return
         yield text
         return
-    loads = json.loads
-    for line in _iter_jsonl_lines(unit):
-        if not line.strip():
-            continue
-        try:
-            record = loads(line.decode("utf-8"))
-            text = record["text"]
-            if not isinstance(text, str):
-                raise TypeError
-        except (UnicodeDecodeError, ValueError, KeyError, TypeError):
-            meta.skipped_documents += 1
-            continue
-        yield text
+    yield from jsonl_documents(_iter_jsonl_blocks(unit), meta)
 
 
 def _count_units(
@@ -152,8 +155,12 @@ def _count_units(
         acc.spill(path)
         spills.append(str(path))
 
-    documents = (text for unit in units for text in iter_unit_documents(unit, acc.meta))
-    acc.add_documents(documents, spill_threshold, spill)
+    if units[0].fmt == "jsonl":  # a count has one format
+        blocks = (block for unit in units for block in _iter_jsonl_blocks(unit))
+        acc.add_jsonl(blocks, spill_threshold, spill)
+    else:
+        documents = (text for unit in units for text in iter_unit_documents(unit, acc.meta))
+        acc.add_documents(documents, spill_threshold, spill)
     spill()
     return spills, acc.meta
 
@@ -186,6 +193,7 @@ def count_corpus(
     step = max(shards, 1)
     partitions = [units[i::step] for i in range(min(step, len(units)))]
     named = CountMeta(corpus=Path(path).name, config_digest=config.digest())  # before the fork
+    counting._kernel()  # loaded, or warned of, once: before the fork
     with tempfile.TemporaryDirectory(prefix="freqgap-spill-") as spill_dir:
         args = (partitions, repeat(config), repeat(spill_dir), repeat(spill_threshold), count())
         if len(partitions) <= 1:

@@ -18,17 +18,22 @@ rejected when the config is made.  CountTable.select makes the same
 selection from a counted table.
 
 Every document is counted by one compiled kernel, _count.c, called
-through ctypes in batches of about _BATCH_BYTES: it scans the terms,
-runs the window loop and counts into a table keyed by packed 64-bit
-ints, exactly as TermScanner and _ShardAccumulator.add_document do in
-Python for any Unicode text.  The library is built with cc when this
-module is imported and __pycache__ holds none for the source's hash and
-the machine type; otherwise the import reads the source and does one
-stat, and ctypes loads the library at the first count.  Building here,
-not in the first count, keeps the compiler's time and memory out of the
-count workers.  The Python scan and window loop are the reference the
-tests compare the kernel with, and the path every document takes where
-no library can be built.
+through ctypes: it scans the terms, runs the window loop and counts into
+a table keyed by packed 64-bit ints, exactly as TermScanner and
+_ShardAccumulator.add_document do in Python for any Unicode text.  It
+takes documents in batches of about _BATCH_BYTES, and JSONL as the raw
+bytes of whole lines, whose records it decodes as record_text does; a
+line it cannot decide exactly (nested deeper than its limit, or holding
+an integer literal longer than the lowest int_max_str_digits) is
+decoded by record_text.  The library is built with cc when this module
+is imported and __pycache__ holds none for the source's hash and the
+machine type; otherwise the import reads the source and does one stat,
+and ctypes loads the library at the first count.  Building here, not in
+the first count, keeps the compiler's time and memory out of the count
+workers.  The Python scan, window loop and record_text are the
+reference the tests compare the kernel with, and the path every
+document takes where no library can be built; the first count of such
+a process logs a warning saying why.
 
 A table file is a `key<TAB>count` TSV sorted by key string plus a
 `.meta.json` sidecar.  write_table is its one writer, combine_metas the
@@ -242,6 +247,8 @@ def _build_kernel(source: Path, path: Path) -> None:
     import subprocess
 
     path.parent.mkdir(exist_ok=True)
+    if shutil.which("cc") is None:
+        raise OSError("no C compiler: cc is not on PATH")
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     os.close(fd)
     try:
@@ -250,6 +257,9 @@ def _build_kernel(source: Path, path: Path) -> None:
             check=True, capture_output=True, timeout=120,
         )
         os.replace(tmp, path)
+    except subprocess.CalledProcessError as exc:
+        first = exc.stderr.decode(errors="replace").strip().partition("\n")[0]
+        raise OSError(f"cc failed: {first}") from exc
     except subprocess.SubprocessError as exc:
         raise OSError(f"cc failed: {exc}") from exc
     finally:
@@ -257,36 +267,39 @@ def _build_kernel(source: Path, path: Path) -> None:
             os.unlink(tmp)
 
 
-def _kernel_path(source: Path = _KERNEL_SOURCE) -> Path | None:
+def _kernel_path(source: Path = _KERNEL_SOURCE) -> tuple[Path | None, str]:
     """The library compiled from `source`, in the __pycache__ beside it
     under a name keyed by the source's hash and the machine type; built
-    when missing.  None where no library can be built."""
+    when missing.  (None, why) where no library can be built."""
     try:
         tag = hashlib.sha256(source.read_bytes()).hexdigest()[:16]
         path = source.parent / "__pycache__" / f"{source.stem}-{tag}-{os.uname().machine}.so"
         if not path.exists():
             _build_kernel(source, path)
     except OSError as exc:
-        log.debug("no counting kernel, counting in Python: %s", exc)
-        return None
-    return path
+        return None, str(exc)
+    return path, ""
 
 
-_KERNEL_PATH = _kernel_path()
+# Built at import; a failure is reported at the first count (see _kernel).
+_KERNEL_PATH, _NO_KERNEL = _kernel_path()
+
+_FALLBACK = "counting in Python, several times slower"
 
 
 @lru_cache(maxsize=None)
 def _kernel():
     """The kernel library, loaded with ctypes and given the term rules;
-    None where there is none."""
+    None where there is none, which logs one warning per process."""
     if _KERNEL_PATH is None:
+        log.warning("no counting kernel (%s): %s", _NO_KERNEL, _FALLBACK)
         return None
     import ctypes
 
     try:
         lib = ctypes.CDLL(str(_KERNEL_PATH))
     except OSError as exc:
-        log.debug("counting kernel does not load, counting in Python: %s", exc)
+        log.warning("the counting kernel does not load (%s): %s", exc, _FALLBACK)
         return None
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
     for name, restype, argtypes in (
@@ -299,6 +312,7 @@ def _kernel():
         ("fg_size", i64, [ptr]),
         ("fg_dump", i64, [ptr, ptr]),
         ("fg_count", i64, [ptr, ctypes.c_char_p, i64, i64, i64, ptr]),
+        ("fg_count_jsonl", i64, [ptr, ctypes.c_char_p, i64, i64, i64, ptr]),
     ):
         fn = getattr(lib, name)
         fn.restype, fn.argtypes = restype, argtypes
@@ -333,6 +347,31 @@ def _batches(texts: Iterable[str]) -> Iterator[bytes]:
             batch, size = [], 0
     if batch:
         yield b"\xff".join(batch)
+
+
+def record_text(line: bytes) -> str | None:
+    """The document of a JSONL line, json.loads(line.decode("utf-8"))["text"];
+    None when the line is skipped: not UTF-8 or JSON, nested past the
+    recursion limit, no object, or without a string "text"."""
+    try:
+        text = json.loads(line.decode("utf-8"))["text"]
+    except (UnicodeDecodeError, ValueError, KeyError, TypeError, RecursionError):
+        return None
+    return text if isinstance(text, str) else None
+
+
+def jsonl_documents(blocks: Iterable[bytes], meta: "CountMeta") -> Iterator[str]:
+    """The documents of JSONL `blocks` (runs of whole lines), decoded in
+    Python; adds each skipped line to meta.skipped_documents.  A line that
+    bytes.strip() empties is no record."""
+    for block in blocks:
+        for line in block.split(b"\n"):
+            if line.strip():
+                text = record_text(line)
+                if text is None:
+                    meta.skipped_documents += 1
+                else:
+                    yield text
 
 
 @dataclass
@@ -472,8 +511,9 @@ class _ShardAccumulator:
     """Streaming counter for one shard, with optional spill-to-disk; the
     reader adds the shard's skipped records to its meta.
 
-    add_documents counts every document with the compiled kernel where it
-    loads, and with add_document, the Python reference, where it does not.
+    add_documents and add_jsonl count every document with the compiled
+    kernel where it loads, and with add_document, the Python reference
+    (after record_text for JSONL), where it does not.
     """
 
     def __init__(self, config: CounterConfig, corpus: str = "") -> None:
@@ -524,6 +564,46 @@ class _ShardAccumulator:
                 start = end + 1
         self.meta.documents += totals[0]
         self.meta.tokens += totals[1]
+
+    def add_jsonl(
+        self,
+        blocks: Iterable[bytes],
+        spill_threshold: float = math.inf,
+        spill: Callable[[], None] | None = None,
+    ) -> None:
+        """Count the records of JSONL `blocks` (runs of whole lines) as
+        add_documents counts jsonl_documents(blocks), adding skipped lines
+        to meta.  The kernel reads the bytes; a line it hands back is
+        decoded by record_text."""
+        if self._lib is None:
+            self.add_documents(jsonl_documents(blocks, self.meta), spill_threshold, spill)
+            return
+        lib, counter = self._lib, self._counter
+        limit = min(spill_threshold, _INT64_MAX)
+        totals = array("q", [0, 0, 0, 0])  # documents, tokens, skipped, handed back
+        address = totals.buffer_info()[0]
+        for block in blocks:
+            start = 0
+            while start < len(block):
+                start = lib.fg_count_jsonl(counter, block, start, len(block), limit, address)
+                if start < 0:
+                    raise MemoryError("counting kernel out of memory")
+                if totals[3]:  # the line at start is handed back
+                    totals[3] = 0
+                    end = block.find(b"\n", start) + 1 or len(block)
+                    text = record_text(block[start:end])
+                    if text is None:
+                        totals[2] += 1
+                    else:
+                        data = text.encode("utf-8", "surrogatepass")
+                        if lib.fg_count(counter, data, 0, len(data), limit, address) < 0:
+                            raise MemoryError("counting kernel out of memory")
+                    start = end
+                if self.size >= spill_threshold:
+                    spill()
+        self.meta.documents += totals[0]
+        self.meta.tokens += totals[1]
+        self.meta.skipped_documents += totals[2]
 
     def add_document(self, text: str) -> None:
         """Count one document in Python: the reference path."""

@@ -14,8 +14,11 @@ import re
 import threading
 import time
 from collections import defaultdict
+from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from unittest import mock
 
+import freqgap.counting as counting_mod
 from freqgap.counting import NN_PAIR_MAX, CounterConfig, extract_term
 from freqgap.terms import CONVERSION_TASKS, UNIT_BASE, unit_term
 
@@ -26,6 +29,13 @@ FAMILY_TRIPLES = {
     for x1 in range(1, 100)
     for y in (factor, x1 * factor)
 }
+
+
+@contextmanager
+def python_path():
+    """Count with the Python reference, as where no library can be built."""
+    with mock.patch.object(counting_mod, "_kernel", lambda: None):
+        yield
 
 
 def tokenize(text: str) -> list[tuple[str, int]]:

@@ -7,6 +7,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+from contextlib import nullcontext
 from pathlib import Path
 
 import pytest
@@ -31,7 +32,14 @@ from freqgap.counting import (
     top_numbers,
 )
 from freqgap.terms import term_set, unit_term
-from helpers import FAMILY_TRIPLES, in_default_families, oracle_count, random_corpus, tokenize
+from helpers import (
+    FAMILY_TRIPLES,
+    in_default_families,
+    oracle_count,
+    python_path,
+    random_corpus,
+    tokenize,
+)
 
 CFG = CounterConfig()
 
@@ -606,13 +614,25 @@ def test_jsonl_skips_malformed_records(tmp_path):
     assert meta.skipped_documents == 3
 
 
-@pytest.mark.parametrize("repeats", [1, 5, 64])
-def test_byte_range_units_read_the_lines_of_a_plain_read(tmp_path, repeats):
-    # A document of `repeats` sentences, an empty line, a non-ASCII one,
-    # and a last line without its newline; the cuts put range starts on
-    # every byte, inside lines and on line starts.
-    from freqgap.corpus import ShardUnit, iter_unit_documents
+@pytest.mark.parametrize("path", [nullcontext, python_path])
+@pytest.mark.parametrize("nested", [
+    b"[" * 100_000 + b"]" * 100_000,
+    b'{"meta": ' + b"[" * 100_000 + b"]" * 100_000 + b', "text": "9 days"}',
+])
+def test_a_deeply_nested_line_is_one_skipped_document(tmp_path, path, nested):
+    # json.loads raises RecursionError on such a line, not ValueError
+    corpus = tmp_path / "c.jsonl"
+    corpus.write_bytes(b'{"text": "1 hours"}\n' + nested + b'\n{"text": "2 days"}\n')
+    with path():
+        meta = count_corpus(corpus, "jsonl", CFG, tmp_path / "out" / "counts.tsv")
+    assert (meta.documents, meta.skipped_documents) == (2, 1)
+    assert CountTable.load(tmp_path / "out").query((2, unit_term("day"))) == 1
 
+
+def _cut_corpus(tmp_path, repeats):
+    """A document of `repeats` sentences, an empty line, a non-ASCII one,
+    and a last line without its newline, with their texts; and cut lists
+    that put range starts on every byte, inside lines and on line starts."""
     texts = ["1 2", "12 minutes make a longer line than the others " * repeats, "x", "30 hours \u00e9"]
     data = b"\n".join(json.dumps({"text": t}).encode() for t in texts[:2])
     data += b"\n\n" + b"\n".join(json.dumps({"text": t}).encode() for t in texts[2:])
@@ -622,6 +642,14 @@ def test_byte_range_units_read_the_lines_of_a_plain_read(tmp_path, repeats):
     size = len(data)
     cut_lists = [[0, size]] + [[0, c, size] for c in range(1, size)]
     cut_lists += [[0, c, c + 9, size] for c in range(1, size - 9, 7)]
+    return path, texts, cut_lists
+
+
+@pytest.mark.parametrize("repeats", [1, 5, 64])
+def test_byte_range_units_read_the_lines_of_a_plain_read(tmp_path, repeats):
+    from freqgap.corpus import ShardUnit, iter_unit_documents
+
+    path, texts, cut_lists = _cut_corpus(tmp_path, repeats)
     for cuts in cut_lists:
         meta = CountMeta(corpus="", config_digest="")
         read = [
@@ -631,6 +659,29 @@ def test_byte_range_units_read_the_lines_of_a_plain_read(tmp_path, repeats):
         ]
         assert read == texts, cuts
         assert meta.skipped_documents == 0
+
+
+@pytest.mark.parametrize("repeats", [1, 5, 64])
+def test_lines_across_read_blocks_and_range_cuts_count_as_a_plain_read(
+    tmp_path, monkeypatch, repeats
+):
+    # Each cut list is counted as one partition of its ranges, read in
+    # blocks of 1, 5 and 64 bytes and the default: lines straddle blocks
+    # and range ends.
+    from freqgap.corpus import ShardUnit
+
+    path, _, cut_lists = _cut_corpus(tmp_path, repeats)
+    with python_path():
+        expected_meta = count_corpus(path, "jsonl", CFG, tmp_path / "expected" / "counts.tsv")
+    expected = (tmp_path / "expected" / "counts.tsv").read_bytes()
+    assert (expected_meta.documents, expected_meta.skipped_documents) == (4, 0)
+    out = tmp_path / "out" / "counts.tsv"
+    for i, cuts in enumerate(cut_lists):
+        units = [ShardUnit(str(path), "jsonl", a, b) for a, b in zip(cuts, cuts[1:])]
+        monkeypatch.setattr(corpus_mod, "corpus_units", lambda *args: units)
+        monkeypatch.setattr(corpus_mod, "_BLOCK_BYTES", (1, 5, 64, 1 << 18)[i % 4])
+        meta = count_corpus(path, "jsonl", CFG, out)
+        assert (out.read_bytes(), meta) == (expected, expected_meta), cuts
 
 
 _SPLIT_TOKENS = ["1", "7", "12", "30", "99", "1234", "hours", "Minutes", "day", "é", "30é", "٣", "(7)"]

@@ -3,6 +3,7 @@ reference path and the brute-force oracle, on mixed-script text."""
 
 import ctypes
 import json
+import logging
 import os
 import random
 import shutil
@@ -10,10 +11,9 @@ import subprocess
 import sys
 import tempfile
 import time
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from functools import lru_cache
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -32,7 +32,7 @@ from freqgap.counting import (
     count_shard,
 )
 from freqgap.terms import unit_term
-from helpers import oracle_count, random_corpus, tokenize
+from helpers import oracle_count, python_path, random_corpus, tokenize
 
 pytestmark = pytest.mark.skipif(
     counting_mod._kernel() is None, reason="no C compiler: every count runs in Python"
@@ -53,13 +53,6 @@ def ascii_lowering() -> dict[str, str]:
     return {
         ch: ch.lower() for ch in map(chr, range(0x80, 0x110000)) if ch.lower().isascii()
     }
-
-
-@contextmanager
-def python_path():
-    """Count with the Python reference, as where no library can be built."""
-    with mock.patch.object(counting_mod, "_kernel", lambda: None):
-        yield
 
 
 def both_paths(documents, config):
@@ -175,6 +168,148 @@ def test_mixed_script_jsonl_counts_the_same_bytes_on_both_paths_and_shardings(
     assert len(outputs) == 1
 
 
+# --- JSONL records ------------------------------------------------------------
+
+_RAW = st.sampled_from([
+    b"1", b"7", b"12", b"30", b" ", b"hours", b"Minutes", b"wee", b"k", b"\x7f",
+    *(chr(cp).encode() for cp in (0xE9, 0x3000, 0x212A, 0x1F550)),
+])
+
+
+def _escapes(*points, upper=False):
+    """The \\uXXXX escapes of the code points."""
+    return b"".join((b"\\u%04X" if upper else b"\\u%04x") % cp for cp in points)
+
+
+_ESCAPES = st.sampled_from([
+    rb'\"', rb"\\", rb"\/", rb"\b", rb"\f", rb"\n", rb"\r", rb"\t",
+    *(_escapes(cp) for cp in (0, 0x37, 0x20, 0xE9, 0x212A, 0x3000)),
+    _escapes(0xE9, upper=True), _escapes(0x212A, upper=True),
+    _escapes(0xD83D, 0xDE00), _escapes(0xD83D, 0xDE00, upper=True),  # a pair: one character
+    _escapes(0xD800), _escapes(0xDFFF), _escapes(0xDC00, 0xD800),  # lone surrogates
+    _escapes(0xD800, 0xD800, 0xDC00),
+])
+# what json.loads or the strict UTF-8 decoder refuses in a string
+_FAULT_BYTES = [
+    rb"\x", rb"\u12g4", rb"\u12", b"\x01", b"\t", b"\x1f", b"\xff", b"\x80", b"\xc0\xaf",
+    b"\xe0\x80\x80", b"\xed\xa0\x80", b"\xf4\x90\x80\x80", b"\xf5\x80\x80\x80", b"\xe2\x82",
+]
+_FAULTS = st.sampled_from(_FAULT_BYTES)
+_STRINGS = st.builds(
+    lambda pieces, faults, at: b'"' + b"".join(pieces[:at] + faults + pieces[at:]) + b'"',
+    st.lists(st.one_of(_RAW, _RAW, _ESCAPES), max_size=12),
+    st.one_of(st.just([]), st.just([]), st.just([]), st.tuples(_FAULTS).map(list)),
+    st.integers(0, 12),
+)
+_SCALARS = st.one_of(
+    st.sampled_from([
+        b"0", b"-1", b"12", b"1.5", b"-0.0e+3", b"1E5", b"NaN", b"Infinity", b"-Infinity",
+        b"true", b"false", b"null", b"7" * 640, b"-" + b"7" * 640, b"7" * 641,
+        b"-" + b"7" * 641, b"1" * 641 + b".5", b"1" * 641 + b"e2",
+    ]),
+    st.sampled_from([b"01", b"1.", b"-", b"nan", b"1e", b"+1"]),  # no JSON
+)
+# nested past the kernel's depth limit, and less
+_NESTED = st.builds(
+    lambda depth, array: b"[" * depth + b"]" * depth if array else b'{"a": ' * depth + b"1" + b"}" * depth,
+    st.integers(1, 70),
+    st.booleans(),
+)
+_KEYS = st.sampled_from(
+    [b'"text"', b'"meta"', b'"id"', b'"' + _escapes(0x74) + b'ext"', b'"te' + _escapes(0x78) + b't"', b'"Text"']
+)
+_WS = st.sampled_from([b"", b" ", b"\t", b"\r", b" \t"])
+_TEXT_MEMBERS = st.builds(lambda s: b'"text": ' + s, _STRINGS)
+_MEMBERS = st.one_of(
+    _TEXT_MEMBERS,
+    st.builds(
+        lambda key, a, value, b: key + a + b":" + b + value,
+        _KEYS, _WS, st.one_of(_STRINGS, _SCALARS, _NESTED), _WS,
+    ),
+)
+_RECORDS = st.builds(
+    lambda members, text, at: b"{" + b", ".join(members[:at] + [text] + members[at:]) + b"}",
+    st.lists(_MEMBERS, max_size=3),
+    _TEXT_MEMBERS,
+    st.integers(0, 3),
+)
+_LINES = st.one_of(
+    _RECORDS,
+    _RECORDS,
+    _RECORDS,
+    st.just(b"{}"),
+    st.builds(
+        lambda before, record, after: before + record + after,
+        st.sampled_from([b" ", b"\t", b"\xef\xbb\xbf", b"\r"]),
+        _RECORDS,
+        st.sampled_from([b" ", b"\r", b" x", b"\x0b", b",", b"{}"]),
+    ),
+    st.builds(lambda record, cut: record[:cut], _RECORDS, st.integers(0, 30)),
+    st.sampled_from([
+        b"", b"\x0b", b"\x0c", b"\r", b" \x0c\t", b"\x1c", b"[1]", b'"text"', b"7", b"null",
+        b"not json", b"\xef\xbb\xbf", b'\x00{"text": "1 hours"}',
+    ]),
+)
+# always in the corpus: a duplicate "text" (string then number and number
+# then string), integers of 640 and 641 digits, NaN, a BOM, lines of one
+# \x0b or \x0c, and each fault in an otherwise good record
+_FIXED_LINES = [b'{"text": "1 hours' + fault + b' 2"}' for fault in _FAULT_BYTES] + [
+    b'{"text": "3 hours", "text": 5}',
+    b'{"text": 5, "text": "4 days"}',
+    b'{"n": ' + b"9" * 640 + b', "text": "6 weeks"}',
+    b'{"n": ' + b"9" * 641 + b', "text": "6 weeks"}',
+    b'{"x": NaN, "text": "7 minutes"}',
+    b'\xef\xbb\xbf{"text": "8 days"}',
+    b"\x0b",
+    b"\x0c",
+]
+
+
+@settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    lines=st.lists(st.tuples(_LINES, st.sampled_from([b"\n", b"\r\n"])), max_size=12),
+    last_newline=st.booleans(),
+)
+def test_kernel_decodes_jsonl_records_as_json_loads_does(tmp_path, lines, last_newline):
+    data = b"".join(line + end for line, end in [(line, b"\r\n") for line in _FIXED_LINES] + lines)
+    if not last_newline:
+        data = data.rstrip(b"\n")
+    records = [line for line in data.split(b"\n") if line.strip()]
+    texts = [text for text in map(counting_mod.record_text, records) if text is not None]
+    root = Path(tempfile.mkdtemp(dir=tmp_path))
+    corpus = root / "c.jsonl"
+    corpus.write_bytes(data)
+    written = []
+    for path in (nullcontext, python_path):
+        out = root / path.__name__ / "counts.tsv"
+        with path():
+            meta = count_corpus(corpus, "jsonl", CounterConfig(), out)
+        written.append((out.read_bytes(), meta))
+    assert written[0] == written[1]
+    assert (written[0][1].documents, written[0][1].skipped_documents) == (
+        len(texts), len(records) - len(texts)
+    )
+    assert written[0][1].tokens == sum(len(text.split()) for text in texts)
+
+
+def test_an_ascii_corpus_reaches_json_loads_on_no_line(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a line went through json.loads")
+
+    corpus = tmp_path / "c.jsonl"
+    corpus.write_text("".join(
+        json.dumps({"id": i, "meta": {"n": [i, 1.5, None]}, "text": f"{i} hours \"{i}\"\t{i}"}) + "\n"
+        for i in range(50)
+    ))
+    monkeypatch.setattr(json, "loads", refuse)
+    for shards in (1, 2):
+        meta = count_corpus(corpus, "jsonl", CounterConfig(), tmp_path / f"o{shards}" / "counts.tsv",
+                            shards=shards, workers=2)
+        assert (meta.documents, meta.skipped_documents) == (50, 0)
+
+
 # --- the kernel's Unicode facts ---------------------------------------------
 
 
@@ -265,8 +400,43 @@ def test_no_compiler_leaves_no_library_and_no_temp_file(tmp_path, monkeypatch):
     source = tmp_path / "_count.c"
     shutil.copy(counting_mod._KERNEL_SOURCE, source)
     monkeypatch.setenv("PATH", str(tmp_path / "empty"))
-    assert counting_mod._kernel_path(source) is None
+    assert counting_mod._kernel_path(source) == (None, "no C compiler: cc is not on PATH")
     assert list((tmp_path / "__pycache__").iterdir()) == []
+
+
+@pytest.mark.parametrize("cause", ["no compiler", "build fails", "does not load"])
+def test_a_count_without_the_kernel_warns_once_why(tmp_path, monkeypatch, caplog, cause):
+    source = tmp_path / "_count.c"
+    if cause == "no compiler":
+        shutil.copy(counting_mod._KERNEL_SOURCE, source)
+        monkeypatch.setenv("PATH", str(tmp_path / "empty"))
+    else:
+        source.write_text("this is no C\n")
+    library, why = counting_mod._kernel_path(source)
+    monkeypatch.setenv("PATH", os.environ["PATH"])
+    if cause == "does not load":
+        library, why = tmp_path / "_count.so", "not a library"
+        library.write_bytes(b"not a library")
+    assert (library is None) == (cause != "does not load")
+    monkeypatch.setattr(counting_mod, "_KERNEL_PATH", library)
+    monkeypatch.setattr(counting_mod, "_NO_KERNEL", why)
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for i in range(2):  # two partitions, counted by forked workers
+        (corpus / f"{i}.jsonl").write_text(json.dumps({"text": f"{i} hours"}) + "\n")
+    counting_mod._kernel.cache_clear()
+    try:
+        with caplog.at_level(logging.WARNING, logger=counting_mod.__name__):
+            for shards in (1, 2):
+                count_corpus(corpus, "jsonl", CounterConfig(), tmp_path / f"o{shards}" / "counts.tsv",
+                             shards=shards, workers=2)
+    finally:
+        counting_mod._kernel.cache_clear()
+    (warning,) = [r for r in caplog.records if r.levelno >= logging.WARNING]
+    message = warning.getMessage()
+    assert "counting in Python" in message
+    assert {"no compiler": "cc is not on PATH", "build fails": "cc failed: ",
+            "does not load": "does not load"}[cause] in message
 
 
 _COLD_COUNT = """
