@@ -54,12 +54,6 @@ static const unsigned char LOWER_TO[] = {'k'};
 
 #define SEPARATOR 0xFF
 
-/* byte classes */
-#define MAYBE_SPACE 1 /* an ASCII space, or the lead byte of a non-ASCII one */
-#define STRIP 2
-#define TERM_START 4 /* a digit, or the first byte of a character that lowers
-                        to the first letter of a unit form */
-
 #define MAX_FORMS 64
 #define MAX_FORM_LEN 7 /* a form and its length pack into one uint64 */
 #define FORM_BITS 7 /* the forms' hash has 2^FORM_BITS >= 2 * MAX_FORMS slots */
@@ -67,7 +61,11 @@ static const unsigned char LOWER_TO[] = {'k'};
 #define MAX_UNITS 32
 #define SMALL_UNIT 0x8000 /* see small() */
 
-static unsigned char byte_class[256];
+static unsigned char strip_byte[256];
+/* Bit b1 & 63 of pair_bits[b0][b1 >> 6] is set when a token whose first
+ * two bytes are b0 and b1 (each with bit 0x20 set, which lower-cases an
+ * ASCII letter) may be a term (see fg_setup). */
+static uint64_t pair_bits[256][4];
 /* The unit forms as packed words (see classify), hashed by mix(); an
  * empty slot holds 0, which no word is. */
 static uint64_t form_words[FORM_SLOTS];
@@ -113,13 +111,9 @@ static int encode_lead(uint32_t cp)
            : cp < 0x10000 ? 0xE0 | (int)(cp >> 12) : 0xF0 | (int)(cp >> 18);
 }
 
-/* Byte length of the whitespace character at s[0:n], or 0. */
-static inline int space_width(const unsigned char *s, int64_t n)
+/* Byte length of the whitespace character at s[0:n], or 0; s[0] >= 0x80. */
+static int space_width(const unsigned char *s, int64_t n)
 {
-    if (!(byte_class[s[0]] & MAYBE_SPACE))
-        return 0;
-    if (s[0] < 0x80)
-        return 1;
     int w;
     uint32_t cp = decode(s, n, &w);
     for (size_t i = 0; i < N_SPACES; i++)
@@ -145,6 +139,23 @@ int64_t fg_unicode_tables(uint32_t *spaces, uint32_t *lower_from, unsigned char 
     return (int64_t)N_SPACES << 8 | (int64_t)N_LOWERS;
 }
 
+/* Sets the bits of pair_bits that let the tokens whose first byte is b0
+ * and second byte is in [lo, hi] through, in either case of each. */
+static void allow_pairs(unsigned char b0, int lo, int hi)
+{
+    for (int b1 = lo; b1 <= hi; b1++)
+        pair_bits[b0 | 0x20][(b1 | 0x20) >> 6] |= (uint64_t)1 << ((b1 | 0x20) & 63);
+}
+
+/* Whether a token whose first two bytes are b0 and b1 may be a term: a
+ * filter, exact about ASCII letters and conservative about the rest. */
+static inline int may_be_term(unsigned char b0, unsigned char b1)
+{
+    b0 |= 0x20;
+    b1 |= 0x20;
+    return (int)(pair_bits[b0][b1 >> 6] >> (b1 & 63) & 1);
+}
+
 /* Sets the term rules: the strip bytes, the n lower-case unit forms (each
  * padded to width bytes in packed) with their codes, the unit base, the
  * number-pair bound and the m counted triples (3 codes each, sorted, two
@@ -158,16 +169,16 @@ int fg_setup(const unsigned char *strip, int64_t n_strip,
     if (n > MAX_FORMS || nn_bound < 1 || nn_bound > SMALL_UNIT || base < nn_bound
         || base + MAX_UNITS >= (int64_t)1 << 40)
         return -1;
-    memset(byte_class, 0, sizeof byte_class);
-    for (size_t i = 0; i < N_SPACES; i++)
-        byte_class[encode_lead(SPACE_POINTS[i])] |= MAYBE_SPACE;
+    memset(strip_byte, 0, sizeof strip_byte);
+    memset(pair_bits, 0, sizeof pair_bits);
     for (int64_t i = 0; i < n_strip; i++) {
         if (strip[i] >= 0x80)
             return -1;
-        byte_class[strip[i]] |= STRIP;
+        strip_byte[strip[i]] = 1;
+        allow_pairs(strip[i], 0, 0xFF);
     }
     for (int ch = '0'; ch <= '9'; ch++)
-        byte_class[ch] |= TERM_START;
+        allow_pairs((unsigned char)ch, 0, 0xFF);
     memset(form_words, 0, sizeof form_words);
     form_min_len = MAX_FORM_LEN;
     form_max_len = 0;
@@ -191,12 +202,19 @@ int fg_setup(const unsigned char *strip, int64_t n_strip,
         unsigned char first = form[0];
         if (first >= 0x80 || (first >= 'A' && first <= 'Z'))
             return -1; /* forms are lower-case ASCII */
-        byte_class[first] |= TERM_START;
-        if (first >= 'a' && first <= 'z')
-            byte_class[first - 'a' + 'A'] |= TERM_START;
+        /* A token of the form begins with its first letter in either case,
+         * followed by: whatever ends the token, for a one-letter form; the
+         * second letter in either case; or a byte >= 0x80, the first of a
+         * character in LOWER_FROM.  Or it begins with such a character,
+         * whose second byte is >= 0x80. */
+        if (lens[f] == 1)
+            allow_pairs(first, 0, 0xFF);
+        else
+            allow_pairs(first, form[1], form[1]);
+        allow_pairs(first, 0x80, 0xFF);
         for (size_t l = 0; l < N_LOWERS; l++)
             if (LOWER_TO[l] == first)
-                byte_class[encode_lead(LOWER_FROM[l])] |= TERM_START;
+                allow_pairs((unsigned char)encode_lead(LOWER_FROM[l]), 0x80, 0xFF);
     }
     unit_base = base;
     nn_max = nn_bound;
@@ -494,11 +512,11 @@ static int add_term(counter *c, int64_t k, int64_t pos, int64_t code)
 static inline int token(counter *c, const unsigned char *s, int64_t a, int64_t b,
                         int64_t position, int64_t *k)
 {
-    while (a < b && (byte_class[s[a]] & STRIP))
+    while (a < b && strip_byte[s[a]])
         a++;
-    while (b > a && (byte_class[s[b - 1]] & STRIP))
+    while (b > a && strip_byte[s[b - 1]])
         b--;
-    if (a < b && (byte_class[s[a]] & TERM_START)) {
+    if (a < b && may_be_term(s[a], b - a > 1 ? s[a + 1] : ' ')) {
         int64_t code = classify(c, s + a, b - a);
         if (code >= 0 && add_term(c, (*k)++, position, code))
             return -1;
@@ -517,55 +535,93 @@ static inline uint64_t load_le(const unsigned char *s)
            | (uint64_t)s[7] << 56;
 }
 
-/* Bit i set for each byte s[i] of the 64 that may begin a space: a byte
- * below 0x21 (the ASCII spaces and some others), or a byte classed
- * MAYBE_SPACE (the lead bytes of the non-ASCII spaces among them). */
-static inline uint64_t space_candidates(const unsigned char *s)
+/* The high bit of each byte of the word low7 (bytes below 0x80) that lies
+ * in [lo, hi]: adding to seven bits carries into no other byte. */
+static inline uint64_t in_range(uint64_t low7, unsigned lo, unsigned hi)
 {
-    uint64_t mask = 0;
+    return (low7 + (0x80 - lo) * ONES) & ~(low7 + (0x7F - hi) * ONES) & HIGHS;
+}
+
+/* Bit 8i+7 of x gathered into bit i: the products' bits are distinct. */
+static inline uint64_t gather(uint64_t x) { return ((x >> 7) * 0x0102040810204080ULL) >> 56; }
+
+/* The spaces of the 64 bytes s[base:base + 64], which chunk holds (padded
+ * with ASCII spaces past n): bit i set when byte i belongs to a whitespace
+ * character.  *carry brings the bits of a space that the chunk before left
+ * unfinished, and takes those of one that runs into the next chunk. */
+static inline uint64_t space_mask(const unsigned char *s, int64_t n, int64_t base,
+                                  const unsigned char *chunk, uint64_t *carry)
+{
+    uint64_t mask = *carry, leads = 0;
     for (int k = 0; k < 8; k++) {
-        uint64_t x = load_le(s + 8 * k);
-        /* the high bit of each byte below 0x21: adding 0x5F to its low
-         * seven bits carries into no other byte */
-        uint64_t below = ~(((x & ~HIGHS) + 0x5F * ONES) | x) & HIGHS;
-        /* gathers bit 8i+7 into bit 56+i: the products' bits are distinct */
-        uint64_t bits = ((below >> 7) * 0x0102040810204080ULL) >> 56;
+        uint64_t x = load_le(chunk + 8 * k), low7 = x & ~HIGHS;
+        /* the ASCII SPACE_POINTS: 0x09-0x0D and 0x1C-0x20 */
+        mask |= gather((in_range(low7, 0x09, 0x0D) | in_range(low7, 0x1C, 0x20)) & ~x) << 8 * k;
+        /* the first bytes of the others: 0xC2 and 0xE1-0xE3 */
         if (x & HIGHS)
-            for (int i = 0; i < 8; i++)
-                bits |= (uint64_t)(byte_class[s[8 * k + i]] & MAYBE_SPACE) << i;
-        mask |= bits << 8 * k;
+            leads |= gather((in_range(low7, 0x42, 0x42) | in_range(low7, 0x61, 0x63)) & x) << 8 * k;
+    }
+    *carry = 0;
+    for (; leads; leads &= leads - 1) {
+        int i = __builtin_ctzll(leads), w;
+        /* a lead byte inside a space is no UTF-8, and no space of its own */
+        if (mask >> i & 1 || !(w = space_width(s + base + i, n - base - i)))
+            continue;
+        uint64_t bits = ((uint64_t)1 << w) - 1;
+        mask |= bits << i;
+        if (i + w > 64)
+            *carry = bits >> (64 - i);
     }
     return mask;
 }
 
 /* Scans s[0:n] into c->terms; returns the term count (-1: out of memory)
- * and adds the token count to *tokens.  Spaces are found 64 bytes at a
- * time: each candidate byte is confirmed by space_width. */
+ * and adds the token count to *tokens.  Each 64-byte chunk gets its exact
+ * space mask; a token starts at each non-space byte after a space (or at
+ * 0), and its position is the count of starts before it.  Only a token
+ * whose first two bytes pass may_be_term is stripped and classified; its
+ * end is the next space, in this chunk or a later one. */
 static int64_t scan(counter *c, const unsigned char *s, int64_t n, int64_t *tokens)
 {
-    int64_t position = 0, k = 0;
-    int64_t a = 0; /* where the current token starts, if it is not a space */
-    unsigned char tail[64];
+    int64_t position = 0, k = 0; /* position: the tokens started before the chunk */
+    int64_t open = -1, open_position = 0; /* a candidate token without its end yet */
+    uint64_t space_before = 1, carry = 0;
+    unsigned char tail[65]; /* the last chunk, and the byte after it */
     for (int64_t base = 0; base < n; base += 64) {
-        uint64_t m;
-        if (n - base >= 64) {
-            m = space_candidates(s + base);
-        } else {
-            memset(tail, 'a', sizeof tail);
-            memcpy(tail, s + base, (size_t)(n - base));
-            m = space_candidates(tail) & (((uint64_t)1 << (n - base)) - 1);
+        const unsigned char *chunk = s + base;
+        if (n - base <= 64) {
+            memset(tail, ' ', sizeof tail);
+            memcpy(tail, chunk, (size_t)(n - base));
+            chunk = tail;
         }
-        for (; m; m &= m - 1) {
-            int64_t p = base + __builtin_ctzll(m);
-            int w;
-            if (p < a || !(w = space_width(s + p, n - p)))
-                continue;
-            if (p > a && token(c, s, a, p, position++, &k))
+        uint64_t space = space_mask(s, n, base, chunk, &carry);
+        uint64_t starts = ~space & (space << 1 | space_before);
+        space_before = space >> 63;
+        if (open >= 0 && space) {
+            if (token(c, s, open, base + __builtin_ctzll(space), open_position, &k))
                 return -1;
-            a = p + w;
+            open = -1;
         }
+        uint64_t candidates = 0;
+        for (uint64_t m = starts; m; m &= m - 1) {
+            int i = __builtin_ctzll(m);
+            candidates |= (uint64_t)may_be_term(chunk[i], chunk[i + 1]) << i;
+        }
+        for (; candidates; candidates &= candidates - 1) {
+            int i = __builtin_ctzll(candidates);
+            int64_t p = base + i;
+            int64_t pos = position + __builtin_popcountll(starts & (((uint64_t)1 << i) - 1));
+            uint64_t rest = space >> i;
+            if (!rest) {
+                open = p;
+                open_position = pos;
+            } else if (token(c, s, p, p + __builtin_ctzll(rest), pos, &k)) {
+                return -1;
+            }
+        }
+        position += __builtin_popcountll(starts);
     }
-    if (n > a && token(c, s, a, n, position++, &k))
+    if (open >= 0 && token(c, s, open, n, open_position, &k))
         return -1;
     *tokens += position;
     return k;

@@ -188,6 +188,7 @@ def count_corpus(
     spill_threshold: int = DEFAULT_SPILL_THRESHOLD,
 ) -> CountMeta:
     """Count a corpus into a sorted table file at `out` (plus meta sidecar)."""
+    started = time.perf_counter()
     out = Path(out)
     units = corpus_units(path, fmt, shards)
     step = max(shards, 1)
@@ -222,9 +223,12 @@ def count_corpus(
             copy_count_file(spills[0], out, meta)
         else:
             merge_sorted_count_files(spills, out, meta)
+    seconds = time.perf_counter() - started
+    size_mb = sum(os.path.getsize(file) for file in {unit.path for unit in units}) / 1e6
     log.info(
-        "counted %s: %d documents, %d tokens, %d skipped -> %s",
-        path, meta.documents, meta.tokens, meta.skipped_documents, out,
+        "counted %s: %d documents, %d tokens, %d skipped, %.1f MB in %.2f s (%.1f MB/s) -> %s",
+        path, meta.documents, meta.tokens, meta.skipped_documents,
+        size_mb, seconds, size_mb / seconds, out,
     )
     return meta
 

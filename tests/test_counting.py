@@ -1,6 +1,7 @@
 import gzip
 import itertools
 import json
+import logging
 import os
 import random
 import signal
@@ -494,6 +495,21 @@ def test_count_corpus_spill_threshold(tmp_path):
     big = tmp_path / "big" / "counts.tsv"
     count_corpus(root, "jsonl", CFG, big, shards=2)
     assert small.read_bytes() == big.read_bytes()
+
+
+def test_count_corpus_logs_its_size_on_disk_seconds_and_rate(tmp_path, monkeypatch, caplog):
+    # part0 is cut into two byte ranges, and counted once in the size
+    monkeypatch.setattr(corpus_mod, "_SPLIT_MIN_BYTES", 1)
+    root = _write_corpus(tmp_path, random_corpus(random.Random(2), 60, max_tokens=20), files=2)
+    size_mb = sum(path.stat().st_size for path in root.iterdir()) / 1e6
+    out = tmp_path / "out" / "counts.tsv"
+    with caplog.at_level(logging.INFO, logger=corpus_mod.__name__):
+        meta = count_corpus(root, "jsonl", CFG, out, shards=2, workers=2)
+    (record,) = [r for r in caplog.records if r.getMessage().startswith("counted ")]
+    documents, tokens, skipped, mb, seconds, rate = record.args[1:7]
+    assert (documents, tokens, skipped) == (meta.documents, meta.tokens, meta.skipped_documents)
+    assert mb == pytest.approx(size_mb) and seconds > 0 and rate == pytest.approx(mb / seconds)
+    assert f" MB in {seconds:.2f} s ({rate:.1f} MB/s) -> {out}" in record.getMessage()
 
 
 def test_a_one_spill_count_copies_its_spill_and_more_spills_merge(tmp_path, monkeypatch):

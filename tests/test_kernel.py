@@ -145,6 +145,72 @@ def test_kelvin_sign_spells_week():
     assert table.query((3, week)) == table.query((2, week)) == 1
 
 
+# --- 64-byte chunk boundaries ------------------------------------------------
+
+# The kernel reads a document 64 bytes at a time: these pieces lie across
+# offsets 63/64/65 and 127/128 of a document.  Terms in any case (KELVIN
+# SIGN in "week" among them), with strip bytes around them, digit runs,
+# and spaces of one, two and three bytes.
+_BOUNDARY_PIECES = ["12", "(Hours)", "WEE" + KELVIN + "S", "wee" + KELVIN, "1234567890123",
+                    "\x85", "\xa0", "\u2000", "\u3000", "7\u3000Days", "\xa0mInUtEs\u2000", "3\x85"]
+_BOUNDARY_SPACES = st.sampled_from(["\x85", "\xa0", "\u2000", "\u3000", " ", "\t", "\x1c"])
+
+
+def _utf8_len(text):
+    return len(text.encode("utf-8", "surrogatepass"))
+
+
+def boundary_documents():
+    """Each boundary piece starting at every offset that puts byte 64 or
+    128 inside it or next to it, after a space and after a digit, in
+    documents of 63-65 and 127-129 bytes where the piece fits."""
+    words, tail = "1 day " * 30, " 3 weeks" * 30
+    documents = []
+    for piece in _BOUNDARY_PIECES + ["7", "s"]:
+        width = _utf8_len(piece)
+        for boundary in (64, 128):
+            for start in range(max(boundary - width - 1, 1), boundary + 2):
+                for head in (words[: start - 1] + " ", words[: start - 1] + "1"):
+                    for size in (boundary - 1, boundary, boundary + 1, start + width):
+                        if size >= start + width:
+                            documents.append(head + piece + tail[: size - start - width])
+    return documents
+
+
+@st.composite
+def _boundary_document(draw):
+    """Pieces lying across offset 63, 64, 65, 127 or 128, padded with ASCII
+    to 63-65 or 127-129 bytes when they fit."""
+    piece = "".join(draw(st.lists(st.one_of(_TOKENS, _BOUNDARY_SPACES), min_size=1, max_size=4)))
+    offset = draw(st.sampled_from([63, 64, 65, 127, 128]))
+    start = max(offset - draw(st.integers(0, _utf8_len(piece))), 0)
+    document = draw(st.text("ab1 .", min_size=start, max_size=start)) + piece
+    sizes = [size for size in (63, 64, 65, 127, 128, 129) if size >= _utf8_len(document)]
+    if sizes:
+        pad = draw(st.sampled_from(sizes)) - _utf8_len(document)
+        document += draw(st.text("s2 (", min_size=pad, max_size=pad))
+    return document
+
+
+def test_kernel_matches_python_and_oracle_on_the_boundary_documents():
+    documents = boundary_documents()
+    for window in (2, 5):
+        config = CounterConfig(window=window)
+        kernel, python = both_paths(documents, config)
+        assert kernel.entries == python.entries == oracle_count(documents, config)
+        assert kernel.meta == python.meta
+
+
+@settings(max_examples=300, deadline=None)
+@given(documents=st.lists(_boundary_document(), min_size=1, max_size=4), window=st.integers(2, 6))
+def test_kernel_matches_python_and_oracle_across_chunk_boundaries(documents, window):
+    config = CounterConfig(window=window)
+    kernel, python = both_paths(documents, config)
+    assert kernel.entries == python.entries == oracle_count(documents, config)
+    assert kernel.meta == python.meta
+    assert kernel.meta.tokens == sum(len(tokenize(d)) for d in documents)
+
+
 @settings(
     max_examples=8, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
@@ -233,6 +299,10 @@ _RECORDS = st.builds(
     _TEXT_MEMBERS,
     st.integers(0, 3),
 )
+_ODD_LINES = [
+    b"", b"\x0b", b"\x0c", b"\r", b" \x0c\t", b"\x1c", b"[1]", b'"text"', b"7", b"null",
+    b"not json", b"\xef\xbb\xbf", b'\x00{"text": "1 hours"}',
+]
 _LINES = st.one_of(
     _RECORDS,
     _RECORDS,
@@ -245,10 +315,7 @@ _LINES = st.one_of(
         st.sampled_from([b" ", b"\r", b" x", b"\x0b", b",", b"{}"]),
     ),
     st.builds(lambda record, cut: record[:cut], _RECORDS, st.integers(0, 30)),
-    st.sampled_from([
-        b"", b"\x0b", b"\x0c", b"\r", b" \x0c\t", b"\x1c", b"[1]", b'"text"', b"7", b"null",
-        b"not json", b"\xef\xbb\xbf", b'\x00{"text": "1 hours"}',
-    ]),
+    st.sampled_from(_ODD_LINES),
 )
 # always in the corpus: a duplicate "text" (string then number and number
 # then string), integers of 640 and 641 digits, NaN, a BOM, lines of one
@@ -263,6 +330,13 @@ _FIXED_LINES = [b'{"text": "1 hours' + fault + b' 2"}' for fault in _FAULT_BYTES
     b"\x0b",
     b"\x0c",
 ]
+# the sanitized run's corpus: the fixed and odd lines, escapes of spaces,
+# KELVIN SIGN and surrogates, and a line nested too deep for the kernel
+JSONL_EDGE_DATA = b"".join(line + b"\r\n" for line in _FIXED_LINES) + b"\n".join(_ODD_LINES + [
+    b'{"text": "' + _escapes(0x3000) + b"7" + _escapes(0xD83D, 0xDE00) + b" wee" + _escapes(0x212A)
+    + b" " + _escapes(0xD800) + b" 3" + _escapes(0xA0) + b'days\\t9 hours"}',
+    b'{"a": ' + b"[" * 70 + b"]" * 70 + b', "text": "1 day"}',
+])
 
 
 @settings(
@@ -276,9 +350,15 @@ def test_kernel_decodes_jsonl_records_as_json_loads_does(tmp_path, lines, last_n
     data = b"".join(line + end for line, end in [(line, b"\r\n") for line in _FIXED_LINES] + lines)
     if not last_newline:
         data = data.rstrip(b"\n")
+    jsonl_counts_agree(Path(tempfile.mkdtemp(dir=tmp_path)), data)
+
+
+def jsonl_counts_agree(root, data):
+    """Counts the JSONL bytes data on both paths into root: the same table
+    and meta, with the documents, skipped lines and tokens that
+    record_text gives."""
     records = [line for line in data.split(b"\n") if line.strip()]
     texts = [text for text in map(counting_mod.record_text, records) if text is not None]
-    root = Path(tempfile.mkdtemp(dir=tmp_path))
     corpus = root / "c.jsonl"
     corpus.write_bytes(data)
     written = []
@@ -481,3 +561,52 @@ def test_two_processes_on_a_cold_cache_build_one_library(tmp_path):
     count_corpus(corpus, "jsonl", CounterConfig(), expected)
     assert (tmp_path / "out0.tsv").read_bytes() == (tmp_path / "out1.tsv").read_bytes()
     assert (tmp_path / "out0.tsv").read_bytes() == expected.read_bytes()
+
+
+# --- the source under the compiler's checks -----------------------------------
+
+
+def _cc(*args):
+    return subprocess.run(["cc", *args], capture_output=True, text=True, timeout=120)
+
+
+def test_the_kernel_compiles_without_warnings(tmp_path):
+    build = _cc("-O2", "-Wall", "-Wextra", "-Werror", "-shared", "-fPIC",
+                "-o", str(tmp_path / "count.so"), str(counting_mod._KERNEL_SOURCE))
+    assert build.returncode == 0, build.stderr
+
+
+_SANITIZED_RUN = """
+import sys
+from pathlib import Path
+import freqgap.counting as counting
+counting._KERNEL_PATH = Path(sys.argv[1])
+import test_kernel as t
+assert counting._kernel()._name == sys.argv[1]
+t.test_kernel_matches_python_and_oracle_on_the_boundary_documents()
+for window in range(2, 9):
+    t.test_kernel_matches_python_on_dense_random_corpora(window)
+t.jsonl_counts_agree(Path(sys.argv[2]), t.JSONL_EDGE_DATA)
+"""
+
+
+def test_the_kernel_matches_python_under_the_address_and_undefined_behaviour_sanitizers(tmp_path):
+    # Shifts by 64 and reads past a buffer are what mask code gets wrong:
+    # the sanitized library ends the run at the first.
+    libasan = _cc("-print-file-name=libasan.so").stdout.strip()
+    if not os.path.isabs(libasan):
+        pytest.skip("cc has no libasan")
+    library = tmp_path / "count-sanitized.so"
+    build = _cc("-O1", "-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=all",
+                "-shared", "-fPIC", "-o", str(library), str(counting_mod._KERNEL_SOURCE))
+    if build.returncode != 0:
+        pytest.skip(f"no sanitized build: {build.stderr.strip().partition(chr(10))[0]}")
+    (tmp_path / "jsonl").mkdir()
+    paths = [str(Path(freqgap.__file__).parents[1]), str(Path(__file__).parent)]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths), "LD_PRELOAD": libasan,
+           "ASAN_OPTIONS": "detect_leaks=0"}
+    run = subprocess.run(
+        [sys.executable, "-c", _SANITIZED_RUN, str(library), str(tmp_path / "jsonl")],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr[-4000:]
