@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import json
 import os
@@ -334,8 +335,34 @@ def _count_with_workers(corpus, tmp_path):
         except OSError:
             pass
         time.sleep(0.01)
-    time.sleep(0.2)  # both workers are inside their partitions
+    time.sleep(0.05)  # both workers are inside their partitions
     return proc, workers, temp
+
+
+def _status(pid):
+    """`/proc/<pid>/status` as a dict, or None once `pid` is gone."""
+    try:
+        lines = Path(f"/proc/{pid}/status").read_text().splitlines()
+    except OSError:
+        return None
+    return dict(line.split(":\t", 1) for line in lines if ":\t" in line)
+
+
+def _stopped(pid):
+    status = _status(pid)
+    return status is None or status["State"].startswith("T")
+
+
+def _sigterm_pending(pid):
+    status = _status(pid)
+    bit = 1 << (signal.SIGTERM - 1)
+    return status is None or any(int(status[key], 16) & bit for key in ("SigPnd", "ShdPnd"))
+
+
+def _wait_all(test, pids, seconds):
+    deadline = time.monotonic() + seconds
+    while not all(map(test, pids)) and time.monotonic() < deadline:
+        time.sleep(0.01)
 
 
 def _wait_gone(pids, seconds):
@@ -348,7 +375,18 @@ def _wait_gone(pids, seconds):
 @pytest.mark.skipif(not Path("/proc/self/task").exists(), reason="needs /proc")
 def test_sigterm_ends_a_count_like_ctrl_c(throughput_corpus, tmp_path):
     proc, workers, temp = _count_with_workers(throughput_corpus, tmp_path)
+    # Hold the workers inside their partitions so that the signal lands
+    # during the count however fast the kernel is. A stopped worker keeps
+    # the SIGTERM its parent sends it pending and dies of it once continued;
+    # one the parent missed finishes its partition and fails the checks.
+    for pid in workers:
+        os.kill(pid, signal.SIGSTOP)
+    _wait_all(_stopped, workers, 10)
     proc.send_signal(signal.SIGTERM)
+    _wait_all(_sigterm_pending, workers, 10)
+    for pid in workers:
+        with contextlib.suppress(ProcessLookupError):
+            os.kill(pid, signal.SIGCONT)
     try:
         _, stderr = proc.communicate(timeout=30)
     except subprocess.TimeoutExpired:
